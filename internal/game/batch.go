@@ -8,35 +8,43 @@ import (
 	"evogame/internal/rng"
 )
 
-// This file implements the bit-sliced (SWAR) batch kernel: one focal
-// strategy playing up to 64 opponents simultaneously, one game per bit lane
-// of a uint64 word (see internal/bitvec).  It targets the full-replay
-// workload the scaling studies measure — every round of every game is
-// played, but 64 games advance per word operation instead of one.
+// This file implements the bit-sliced (SWAR) batch kernel: up to 64 games
+// played simultaneously, one game per bit lane of a uint64 word (see
+// internal/bitvec).  Every round of every game is played, but 64 games
+// advance per word operation instead of one.  PlayBatch pits one focal
+// strategy against many opponents (the full-replay workload the scaling
+// studies measure); PlayPairs gives every lane its own focal strategy, so a
+// caller can fill one batch with the misses of several evaluations.  Both
+// are wrappers over the one kernel.
 //
-// Layout.  The focal player's joint history against all 64 opponents is
-// kept as 2n bit planes: plane j holds bit j of the focal's packed game
-// state in every lane.  The opponents' own states need no storage at all —
-// an opponent's state is the focal state with each round's (my, opp) bit
-// pair swapped, so plane j of the opponents' view is focal plane j^1.  Next
-// moves come from a multiplexer tree over the 4^n-entry move tables
-// (bitvec.MuxSelect): the focal's table broadcasts to 0/^0 leaf words, the
-// opponents' tables are transposed once per batch so bit L of leaf s is
-// lane L's move in state s.  Per-round outcomes accumulate in vertical
-// ripple-carry counters; the per-lane totals are reconstructed once at the
-// end of the batch.
+// Layout.  The focal players' joint histories are kept as 2n bit planes:
+// plane j holds bit j of the focal's packed game state in every lane.  The
+// opponents' own states need no storage at all — an opponent's state is the
+// focal state with each round's (my, opp) bit pair swapped, so plane j of
+// the opponents' view is focal plane j^1.  Next moves come from a
+// multiplexer tree over the 4^n-entry move tables (bitvec.MuxSelect).  The
+// tables are transposed once per batch so bit L of leaf s is lane L's move
+// in state s; the focal table of a chunk whose lanes all share one focal
+// strategy is instead broadcast to 0/^0 leaves, which skips the per-lane
+// transpose.  Per-round outcomes accumulate in vertical ripple-carry
+// counters; the per-lane totals are reconstructed once at the end of the
+// batch.
 //
 // Exactness.  With an integer-valued payoff matrix the scalar loop's
 // running fitness sum is an exactly representable integer after every
 // round, and the batch kernel's count*payoff closed form produces the same
 // integer, so the two are bit-identical; the kernel is therefore gated on
 // Matrix.IntegerValued exactly like the cycle-closing kernel.  Noise is
-// handled by pre-drawing each lane's per-round flips from that game's own
-// rng.Source in canonical scalar order (two draws per round, focal player
-// first), so the RNG streams — and therefore the trajectory of any caller —
-// are unchanged.  Games the kernel cannot replay exactly (mixed strategies,
-// fractional payoff matrices, players without packed move tables) fall back
-// to the scalar Play path lane by lane.
+// handled by drawing each lane's per-round flips up front from that game's
+// own rng.Source in canonical scalar order (two draws per round, focal
+// player first) with rng.Source.BernoulliLane: the engine's noise level is
+// precomputed as an integer threshold, and the lane draw keeps the
+// generator state in registers and ORs the lane bit into the flip planes
+// without branching.  The draws are exactly those of the scalar loop's
+// Bernoulli calls, so the RNG streams — and therefore the trajectory of any
+// caller — are unchanged.  Games the kernel cannot replay exactly (mixed
+// strategies, fractional payoff matrices, players without packed move
+// tables) fall back to the scalar Play path lane by lane.
 
 // BatchLanes is the number of games one bit-sliced batch plays at once: one
 // lane per bit of a uint64 word.  Engine.PlayBatch accepts any number of
@@ -97,16 +105,17 @@ func (e *Engine) KernelStats() KernelStats {
 // depend only on the engine's memory depth and round count, which are fixed
 // at construction.
 type batchBuffers struct {
-	focalT   []uint64    // focal move table broadcast to 0/^0 leaves, 4^n words
+	focalT   []uint64    // transposed (or broadcast) focal tables, 4^n words
 	oppT     []uint64    // transposed opponent tables: bit L of word s = lane L's move in state s
 	scratch  []uint64    // multiplexer scratch, 4^n words (MuxSelect destroys its leaves)
 	planes   []uint64    // focal joint-history planes: plane j = state bit j of every lane
 	oppView  []uint64    // planes pair-swapped into the opponents' perspective
 	counts   [3][]uint64 // vertical counters for outcome codes CC, CD, DC
-	flipA    []uint64    // pre-drawn noise masks, one word per round (nil when noiseless)
+	flipA    []uint64    // noise masks drawn up front, one word per round (nil when noiseless)
 	flipB    []uint64
-	words    [BatchLanes][]uint64 // packed move table of each occupied lane
-	lane2idx [BatchLanes]int      // occupied lane -> index into the opponents slice
+	focal    [BatchLanes][]uint64 // packed focal move table of each occupied lane
+	words    [BatchLanes][]uint64 // packed opponent move table of each occupied lane
+	lane2idx [BatchLanes]int      // occupied lane -> index into the chunk
 }
 
 func (e *Engine) getBatchBuffers() *batchBuffers {
@@ -134,15 +143,16 @@ func (e *Engine) getBatchBuffers() *batchBuffers {
 
 func (e *Engine) putBatchBuffers(buf *batchBuffers) {
 	for l := range buf.words {
-		buf.words[l] = nil // do not pin strategy tables in the pool
+		buf.focal[l] = nil // do not pin strategy tables in the pool
+		buf.words[l] = nil
 	}
 	e.batchPool.Put(buf)
 }
 
-// batchFocalWords returns the focal player's packed move table when the
-// engine's kernel mode and the game's parameters allow the SWAR path, and
-// nil when every game of the batch must take the scalar fallback.
-func (e *Engine) batchFocalWords(a Player) []uint64 {
+// batchWords returns a player's packed move table when the engine's kernel
+// mode and the game's parameters allow the SWAR path, and nil when its games
+// must take the scalar fallback.
+func (e *Engine) batchWords(a Player) []uint64 {
 	if !e.intPayoff || !a.Deterministic() || a.MemorySteps() != e.memSteps {
 		return nil
 	}
@@ -177,64 +187,87 @@ func (e *Engine) PlayBatch(a Player, opponents []Player, srcs []*rng.Source, out
 	if a == nil {
 		return fmt.Errorf("game: PlayBatch requires a focal player")
 	}
-	if len(out) != len(opponents) {
-		return fmt.Errorf("game: PlayBatch result slice has %d entries for %d opponents", len(out), len(opponents))
+	focal := [1]Player{a}
+	return e.playLanes("PlayBatch", focal[:], opponents, srcs, out)
+}
+
+// PlayPairs plays one game between focals[i] and opps[i] for every i,
+// writing its outcome to out[i].  It is PlayBatch with a focal player per
+// game: observably identical to calling Play(focals[i], opps[i], srcs[i])
+// in index order, with the same rules for srcs.
+func (e *Engine) PlayPairs(focals, opps []Player, srcs []*rng.Source, out []Result) error {
+	if len(focals) != len(opps) {
+		return fmt.Errorf("game: PlayPairs got %d focal players for %d opponents", len(focals), len(opps))
 	}
-	if srcs != nil && len(srcs) != len(opponents) {
-		return fmt.Errorf("game: PlayBatch source slice has %d entries for %d opponents", len(srcs), len(opponents))
+	return e.playLanes("PlayPairs", focals, opps, srcs, out)
+}
+
+// playLanes validates a batch and plays it one chunk of at most BatchLanes
+// games at a time.  A single focal player is broadcast to every game.
+func (e *Engine) playLanes(op string, focals, opps []Player, srcs []*rng.Source, out []Result) error {
+	if len(out) != len(opps) {
+		return fmt.Errorf("game: %s result slice has %d entries for %d opponents", op, len(out), len(opps))
 	}
-	aw := e.batchFocalWords(a)
-	for lo := 0; lo < len(opponents); lo += BatchLanes {
-		hi := lo + BatchLanes
-		if hi > len(opponents) {
-			hi = len(opponents)
+	if srcs != nil && len(srcs) != len(opps) {
+		return fmt.Errorf("game: %s source slice has %d entries for %d opponents", op, len(srcs), len(opps))
+	}
+	for lo := 0; lo < len(opps); lo += BatchLanes {
+		hi := min(lo+BatchLanes, len(opps))
+		chunkFocals := focals
+		if len(focals) > 1 {
+			chunkFocals = focals[lo:hi]
 		}
 		var chunkSrcs []*rng.Source
 		if srcs != nil {
 			chunkSrcs = srcs[lo:hi]
 		}
-		if err := e.playBatchChunk(a, aw, opponents[lo:hi], chunkSrcs, out[lo:hi]); err != nil {
+		if err := e.playChunk(op, chunkFocals, opps[lo:hi], chunkSrcs, out[lo:hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// playBatchChunk plays one chunk of at most BatchLanes opponents.  Lanes
-// the SWAR kernel cannot replay exactly fall back to the scalar Play path
-// individually; aw == nil forces the fallback for the whole chunk.
-func (e *Engine) playBatchChunk(a Player, aw []uint64, opps []Player, srcs []*rng.Source, out []Result) error {
+// playChunk plays one chunk of at most BatchLanes games; focals holds one
+// player per game or a single player for all of them.  Lanes the SWAR
+// kernel cannot replay exactly fall back to the scalar Play path
+// individually.
+func (e *Engine) playChunk(op string, focals, opps []Player, srcs []*rng.Source, out []Result) error {
 	var buf *batchBuffers
+	defer func() {
+		if buf != nil {
+			e.putBatchBuffers(buf)
+		}
+	}()
+	var aw []uint64
+	shared := true // every occupied lane has the same focal table
 	lanes := 0
 	for i, b := range opps {
-		if b == nil {
-			if buf != nil {
-				e.putBatchBuffers(buf)
-			}
-			return fmt.Errorf("game: PlayBatch got a nil opponent")
+		a := focals[0]
+		if len(focals) > 1 {
+			a = focals[i]
 		}
-		eligible := aw != nil && b.Deterministic() && b.MemorySteps() == e.memSteps
-		var mt MoveTable
-		if eligible {
-			mt, eligible = b.(MoveTable)
+		if a == nil || b == nil {
+			return fmt.Errorf("game: %s got a nil player", op)
 		}
-		if eligible && e.noise > 0 && (srcs == nil || srcs[i] == nil) {
-			if buf != nil {
-				e.putBatchBuffers(buf)
-			}
+		if i == 0 || len(focals) > 1 {
+			aw = e.batchWords(a)
+		}
+		var bw []uint64
+		if aw != nil {
+			bw = e.batchWords(b)
+		}
+		if bw != nil && e.noise > 0 && (srcs == nil || srcs[i] == nil) {
 			return fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
 				e.noise, a.Deterministic(), b.Deterministic())
 		}
-		if !eligible {
+		if bw == nil {
 			var src *rng.Source
 			if srcs != nil {
 				src = srcs[i]
 			}
 			res, err := e.Play(a, b, src)
 			if err != nil {
-				if buf != nil {
-					e.putBatchBuffers(buf)
-				}
 				return err
 			}
 			out[i] = res
@@ -243,62 +276,48 @@ func (e *Engine) playBatchChunk(a Player, aw []uint64, opps []Player, srcs []*rn
 		if buf == nil {
 			buf = e.getBatchBuffers()
 		}
-		buf.words[lanes] = mt.Words()
+		if lanes > 0 && &aw[0] != &buf.focal[0][0] {
+			shared = false
+		}
+		buf.focal[lanes] = aw
+		buf.words[lanes] = bw
 		buf.lane2idx[lanes] = i
 		lanes++
 	}
 	if buf == nil {
 		return nil
 	}
-	defer e.putBatchBuffers(buf)
 
 	numStates := NumStates(e.memSteps)
 	focalT := buf.focalT[:numStates]
-	oppT := buf.oppT[:numStates]
-	for s := 0; s < numStates; s++ {
-		focalT[s] = bitvec.Broadcast(aw[s>>6]>>(uint(s)&63)&1 == 1)
-		oppT[s] = 0
-	}
-	for l := 0; l < lanes; l++ {
-		w := buf.words[l]
-		for s := 0; s < numStates; s++ {
-			oppT[s] |= (w[s>>6] >> (uint(s) & 63) & 1) << uint(l)
+	if shared {
+		aw = buf.focal[0]
+		for s := range focalT {
+			focalT[s] = bitvec.Broadcast(aw[s>>6]>>(uint(s)&63)&1 == 1)
 		}
+	} else {
+		transposeTables(focalT, buf.focal[:lanes])
 	}
+	oppT := buf.oppT[:numStates]
+	transposeTables(oppT, buf.words[:lanes])
 
-	// Pre-draw the noise flips in canonical scalar order: each lane consumes
-	// its own source exactly as the scalar loop would — two draws per round,
-	// focal player's flip first — so the streams stay aligned with full
-	// replay.
+	// Draw the noise flips up front in canonical scalar order: each lane
+	// consumes its own source exactly as the scalar loop would — two draws
+	// per round, focal player's flip first — so the streams stay aligned
+	// with full replay.
 	noisy := e.noise > 0
 	if noisy {
-		flipA, flipB := buf.flipA, buf.flipB
-		for r := 0; r < e.rounds; r++ {
-			flipA[r], flipB[r] = 0, 0
-		}
+		clear(buf.flipA)
+		clear(buf.flipB)
 		for l := 0; l < lanes; l++ {
-			src := srcs[buf.lane2idx[l]]
-			bit := uint64(1) << uint(l)
-			for r := 0; r < e.rounds; r++ {
-				if src.Bool(e.noise) {
-					flipA[r] |= bit
-				}
-				if src.Bool(e.noise) {
-					flipB[r] |= bit
-				}
-			}
+			srcs[buf.lane2idx[l]].BernoulliLane(e.flip, uint64(1)<<uint(l), buf.flipA, buf.flipB)
 		}
 	}
 
 	planes := buf.planes
-	for j := range planes {
-		planes[j] = 0 // InitialState: empty history in every lane
-	}
+	clear(planes) // InitialState: empty history in every lane
 	for c := range buf.counts {
-		cnt := buf.counts[c]
-		for i := range cnt {
-			cnt[i] = 0
-		}
+		clear(buf.counts[c])
 	}
 	scratch := buf.scratch[:numStates]
 	oppView := buf.oppView
@@ -350,4 +369,15 @@ func (e *Engine) playBatchChunk(a Player, aw []uint64, opps []Player, srcs []*rn
 	e.stats.batchGames.Add(int64(lanes))
 	e.stats.batchCalls.Add(1)
 	return nil
+}
+
+// transposeTables writes the lanes' packed move tables bit-sliced into dst:
+// bit L of dst[s] is table L's move in state s.
+func transposeTables(dst []uint64, tables [][]uint64) {
+	clear(dst)
+	for l, w := range tables {
+		for s := range dst {
+			dst[s] |= (w[s>>6] >> (uint(s) & 63) & 1) << uint(l)
+		}
+	}
 }

@@ -61,11 +61,145 @@ func checkBatchMatchesScalar(t *testing.T, batch, scalar *Engine, a Player, opps
 		}
 		// The batch kernel must also leave each game's RNG stream exactly
 		// where the scalar loop does.
-		if src != nil {
-			if g, w := batchSrcs[i].Uint64(), src.Uint64(); g != w {
-				t.Fatalf("opponent %d: RNG stream diverged after the game (%#x vs %#x)", i, g, w)
-			}
+		if src != nil && batchSrcs[i].State() != src.State() {
+			t.Fatalf("opponent %d: RNG stream diverged after the game", i)
 		}
+	}
+}
+
+// checkPairsMatchScalar is checkBatchMatchesScalar for PlayPairs: game i
+// is focals[i] against opps[i], each with its own source.
+func checkPairsMatchScalar(t *testing.T, batch, scalar *Engine, focals, opps []Player, seed uint64) {
+	t.Helper()
+	srcs := make([]*rng.Source, len(opps))
+	for i := range srcs {
+		srcs[i] = rng.New(seed + uint64(i))
+	}
+	got := make([]Result, len(opps))
+	if err := batch.PlayPairs(focals, opps, srcs, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range opps {
+		src := rng.New(seed + uint64(i))
+		want, err := scalar.Play(focals[i], opps[i], src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("pair %d: PlayPairs %+v, scalar full replay %+v", i, got[i], want)
+		}
+		if srcs[i].State() != src.State() {
+			t.Fatalf("pair %d: RNG stream diverged after the game", i)
+		}
+	}
+}
+
+// coinPlayer is a memory-n mixed strategy that cooperates with probability
+// p in every state; the SWAR kernel cannot replay it.
+type coinPlayer struct {
+	mem int
+	p   float64
+}
+
+func (c *coinPlayer) MemorySteps() int    { return c.mem }
+func (c *coinPlayer) Deterministic() bool { return false }
+func (c *coinPlayer) Move(_ int, src *rng.Source) Move {
+	if src.Bool(c.p) {
+		return Cooperate
+	}
+	return Defect
+}
+
+// TestPlayBatchEdgeNoise pins the threshold lane draws at the edges of the
+// noise range: the smallest and largest probabilities the threshold
+// represents, an even coin, and noise 1, where every move flips and no
+// draw is made at all.
+func TestPlayBatchEdgeNoise(t *testing.T) {
+	for _, noise := range []float64{1e-9, 0.5, 1 - 0x1p-53, 1} {
+		t.Run(fmt.Sprint(noise), func(t *testing.T) {
+			batch, scalar := newTestEngines(t, 2, noise)
+			src := rng.New(71)
+			opps := make([]Player, 70)
+			for i := range opps {
+				opps[i] = randomWordPlayer(2, src)
+			}
+			checkBatchMatchesScalar(t, batch, scalar, randomWordPlayer(2, src), opps, 400)
+			if noise < 1 {
+				return
+			}
+			srcs := make([]*rng.Source, len(opps))
+			for i := range srcs {
+				srcs[i] = rng.New(uint64(i))
+			}
+			if err := batch.PlayBatch(opps[0], opps, srcs, make([]Result, len(opps))); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range srcs {
+				if s.State() != rng.New(uint64(i)).State() {
+					t.Fatalf("noise 1: game %d drew from its source", i)
+				}
+			}
+		})
+	}
+}
+
+// TestPlayPairsPerLaneFocals checks PlayPairs with a distinct focal player
+// per lane against per-game Play, at memory 1-3, noiseless and noisy, over
+// more than one chunk.  Some lanes hold a mixed focal or opponent and fall
+// back to the scalar path; one chunk shares a single focal, which takes the
+// broadcast fill.
+func TestPlayPairsPerLaneFocals(t *testing.T) {
+	for mem := 1; mem <= 3; mem++ {
+		for _, noise := range []float64{0, 0.05} {
+			t.Run(fmt.Sprintf("mem%d-noise%v", mem, noise), func(t *testing.T) {
+				batch, scalar := newTestEngines(t, mem, noise)
+				src := rng.New(uint64(300 + mem))
+				pool := make([]Player, 5)
+				for i := range pool {
+					pool[i] = randomWordPlayer(mem, src)
+				}
+				const n = 2*BatchLanes + 9
+				focals, opps := make([]Player, n), make([]Player, n)
+				for i := range focals {
+					focals[i] = pool[src.Intn(len(pool))]
+					if i >= BatchLanes && i < 2*BatchLanes {
+						focals[i] = pool[0] // the shared-focal chunk
+					}
+					opps[i] = randomWordPlayer(mem, src)
+					switch i % 11 {
+					case 4:
+						focals[i] = &coinPlayer{mem: mem, p: 0.3}
+					case 9:
+						opps[i] = &coinPlayer{mem: mem, p: 0.7}
+					}
+				}
+				checkPairsMatchScalar(t, batch, scalar, focals, opps, uint64(50*mem))
+			})
+		}
+	}
+}
+
+// TestPlayPairsWrongMemoryLane checks that a lane whose player has the
+// wrong memory depth falls back to Play and surfaces Play's error.
+func TestPlayPairsWrongMemoryLane(t *testing.T) {
+	batch, scalar := newTestEngines(t, 2, 0.05)
+	src := rng.New(5)
+	focals := []Player{randomWordPlayer(2, src), randomWordPlayer(3, src)}
+	opps := []Player{randomWordPlayer(2, src), randomWordPlayer(2, src)}
+	srcs := []*rng.Source{rng.New(1), rng.New(2)}
+	_, want := scalar.Play(focals[1], opps[1], rng.New(2))
+	if want == nil {
+		t.Fatal("Play accepted a wrong-memory player")
+	}
+	err := batch.PlayPairs(focals, opps, srcs, make([]Result, 2))
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("PlayPairs error %v, want Play's %v", err, want)
+	}
+	if err := batch.PlayPairs(focals[:1], opps, srcs, make([]Result, 2)); err == nil {
+		t.Fatal("PlayPairs accepted fewer focals than opponents")
+	}
+	if err := batch.PlayPairs([]Player{nil}, opps[:1], srcs[:1], make([]Result, 1)); err == nil {
+		t.Fatal("PlayPairs accepted a nil focal player")
 	}
 }
 
@@ -215,27 +349,44 @@ func TestPlayBatchValidation(t *testing.T) {
 }
 
 // TestPlayBatchSteadyStateZeroAllocs is the alloc gate on the batch hot
-// path: once the engine's buffer pool is warm, a full-occupancy noiseless
-// batch must not allocate.
+// path: once the engine's buffer pool is warm, a full-occupancy batch must
+// not allocate — noiseless or noisy, broadcast-focal or paired.
 func TestPlayBatchSteadyStateZeroAllocs(t *testing.T) {
-	batch, _ := newTestEngines(t, 1, 0)
-	src := rng.New(11)
-	opps := make([]Player, BatchLanes)
-	for i := range opps {
-		opps[i] = randomWordPlayer(1, src)
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	focal := randomWordPlayer(1, src)
-	out := make([]Result, len(opps))
-	if err := batch.PlayBatch(focal, opps, nil, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := batch.PlayBatch(focal, opps, nil, out); err != nil {
-			t.Fatal(err)
+	for _, noise := range []float64{0, 0.05} {
+		batch, _ := newTestEngines(t, 1, noise)
+		src := rng.New(11)
+		focals := make([]Player, BatchLanes)
+		opps := make([]Player, BatchLanes)
+		srcs := make([]*rng.Source, BatchLanes)
+		for i := range opps {
+			focals[i] = randomWordPlayer(1, src)
+			opps[i] = randomWordPlayer(1, src)
+			srcs[i] = rng.New(uint64(i))
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state PlayBatch allocates %v times per call, want 0", allocs)
+		out := make([]Result, len(opps))
+		for _, c := range []struct {
+			name string
+			play func() error
+		}{
+			{"batch", func() error { return batch.PlayBatch(focals[0], opps, srcs, out) }},
+			{"pairs", func() error { return batch.PlayPairs(focals, opps, srcs, out) }},
+		} {
+			name, play := c.name, c.play
+			if err := play(); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := play(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("noise %v: steady-state %s allocates %v times per call, want 0", noise, name, allocs)
+			}
+		}
 	}
 }
 

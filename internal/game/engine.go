@@ -59,6 +59,7 @@ type Engine struct {
 	table     [4]float64
 	rounds    int
 	noise     float64
+	flip      rng.Bernoulli // noise as an integer threshold, drawn once per move
 	memSteps  int
 	stateMode StateMode
 	accumMode AccumMode
@@ -133,6 +134,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		table:     cfg.Payoff.Table(),
 		rounds:    cfg.Rounds,
 		noise:     cfg.Noise,
+		flip:      rng.NewBernoulli(cfg.Noise),
 		memSteps:  cfg.MemorySteps,
 		stateMode: cfg.StateMode,
 		accumMode: cfg.AccumMode,
@@ -236,10 +238,10 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 		moveA := a.Move(stateA, src)
 		moveB := b.Move(stateB, src)
 		if e.noise > 0 {
-			if src.Bool(e.noise) {
+			if src.Bernoulli(e.flip) {
 				moveA = moveA.Flip()
 			}
-			if src.Bool(e.noise) {
+			if src.Bernoulli(e.flip) {
 				moveB = moveB.Flip()
 			}
 		}

@@ -256,6 +256,21 @@ type Model struct {
 	// EvalFull path (including the noise/mixed-strategy bypass).
 	cache  *fitness.PairCache
 	matrix *fitness.IncrementalMatrix
+	// event is the per-event evaluation's reusable working memory.
+	event eventScratch
+}
+
+// eventScratch is the working memory of one per-event fitness evaluation
+// (fitnessPairID).  Its maps are cleared rather than reallocated and its
+// slices keep their capacity, so steady-state evaluation allocates nothing.
+type eventScratch struct {
+	queued  map[uint64]int     // miss key -> index into the miss slices
+	payoff  map[uint64]float64 // the per-event distinct-pair cache
+	focals  []game.Player      // miss i is focals[i] against opps[i]
+	opps    []game.Player
+	srcs    []*rng.Source // miss i's split source, nil when it needs none
+	arena   []rng.Source  // backing store of srcs: slot i belongs to miss i
+	results []game.Result
 }
 
 // New validates the configuration and builds a Model ready to run.
@@ -352,8 +367,8 @@ func New(cfg Config) (*Model, error) {
 		}
 	} else {
 		// EvalFull (or the noise/mixed bypass): interning still pays off for
-		// the per-event distinct-pair cache of fitnessCached, which becomes
-		// an ID-pair map instead of a string-pair map.  A table holding
+		// the per-event distinct-pair cache, which fitnessPairID keys by ID
+		// pair instead of fitnessCached's string pair.  A table holding
 		// strategies outside the codec simply stays unbound and the legacy
 		// string-keyed path takes over.
 		_ = table.Bind(intern.NewRegistry())
@@ -554,18 +569,7 @@ func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
 		return fa, fb, nil
 	default:
 		if m.table.Bound() {
-			// Distinct pairs are identified by interned ID, so the per-event
-			// cache is an integer-keyed map with no string building.
-			cache := make(map[uint64]float64)
-			fa, err := m.fitnessCachedID(a, cache)
-			if err != nil {
-				return 0, 0, err
-			}
-			fb, err := m.fitnessCachedID(b, cache)
-			if err != nil {
-				return 0, 0, err
-			}
-			return fa, fb, nil
+			return m.fitnessPairID(a, b)
 		}
 		cache := make(map[[2]string]float64)
 		fa, err := m.fitnessCached(a, cache)
@@ -634,93 +638,119 @@ func (m *Model) fitnessExact(i int) (float64, error) {
 	})
 }
 
-// fitnessCachedID is fitnessCached on interned IDs: the per-event
-// distinct-pair cache is keyed by packed ID pairs, so identifying a repeat
-// pair costs an integer map probe instead of building two string keys.  For
-// pure strategies the distinct-pair structure, the per-miss randomness
-// splits and therefore the trajectory are identical to the string-keyed
-// path.  For mixed strategies the ID keys are exact where String() was
-// lossy (it truncates to eight states at two decimals), so two nearly-equal
-// mixed strategies that used to collide — silently reusing the wrong
-// pair's payoff — are now evaluated separately.
-func (m *Model) fitnessCachedID(i int, cache map[uint64]float64) (float64, error) {
+// pairKey packs an ordered pair of interned strategy IDs into a map key.
+func pairKey(my, opp uint32) uint64 { return uint64(my)<<32 | uint64(opp) }
+
+// fitnessPairID evaluates a learning event's teacher t and learner l on
+// interned IDs, with a per-event distinct-pair cache: each distinct strategy
+// pair is played once, and its reverse pairing's payoff is reused.  The
+// result is that of evaluating t and then l one game at a time against one
+// shared cache — which is what fixes the trajectory — but every miss of
+// both SSets is played in one PlayPairs batch.
+//
+// That works because which pairs miss depends only on the interned IDs:
+// the teacher's evaluation caches exactly its own pairs and their reverses,
+// so both SSets' misses, and the m.src split each one takes, are known
+// before any game is played.  For mixed strategies the ID keys are exact
+// where String() was lossy (it truncates to eight states at two decimals),
+// so two nearly-equal mixed strategies are evaluated separately rather than
+// silently reusing one another's payoff.
+func (m *Model) fitnessPairID(t, l int) (float64, float64, error) {
+	ev := &m.event
+	if ev.queued == nil {
+		ev.queued = make(map[uint64]int)
+		ev.payoff = make(map[uint64]float64)
+	}
+	clear(ev.queued)
+	clear(ev.payoff)
+	ev.focals, ev.opps, ev.srcs = ev.focals[:0], ev.opps[:0], ev.srcs[:0]
+	if need := m.graph.Degree(t) + m.graph.Degree(l); len(ev.arena) < need {
+		ev.arena = make([]rng.Source, need)
+	}
+	m.collectMisses(t)
+	m.collectMisses(l)
+	if n := len(ev.opps); n > 0 {
+		if cap(ev.results) < n {
+			ev.results = make([]game.Result, n)
+		}
+		ev.results = ev.results[:n]
+		if err := m.engine.PlayPairs(ev.focals, ev.opps, ev.srcs, ev.results); err != nil {
+			return 0, 0, err
+		}
+		m.games += int64(n)
+	}
+	return m.sumPayoffs(t), m.sumPayoffs(l), nil
+}
+
+// collectMisses is pass 1 of fitnessPairID for SSet i: it queues the
+// distinct pairs the one-game-at-a-time evaluation would have played, in
+// first-encounter order, splitting each miss's randomness in exactly that
+// evaluation's order — the split order is what keeps the trajectory
+// bit-identical.  A pair is not a miss when it or its reverse is already
+// queued: for the learner that is precisely "cached by the teacher's
+// evaluation, or already queued by the learner's", and for the teacher the
+// reverse test only matches its own self-pair.
+func (m *Model) collectMisses(i int) {
+	ev := &m.event
 	my := m.table.Get(i)
 	myID := m.table.ID(i)
 	deg := m.graph.Degree(i)
-	// Pass 1: collect the distinct pairs missing from the per-event cache,
-	// in first-encounter order, splitting each miss's randomness in exactly
-	// the order the one-game-at-a-time loop used to — the split order is
-	// what keeps the trajectory bit-identical.
-	var (
-		queued   map[uint64]int
-		missOpps []game.Player
-		missSrcs []*rng.Source
-		needSrcs bool
-	)
 	for k := 0; k < deg; k++ {
 		j := m.graph.Neighbor(i, k)
 		oppID := m.table.ID(j)
-		key := uint64(myID)<<32 | uint64(oppID)
-		if _, ok := cache[key]; ok {
+		key := pairKey(myID, oppID)
+		if _, ok := ev.queued[key]; ok {
 			continue
 		}
-		if _, ok := queued[key]; ok {
+		if _, ok := ev.queued[pairKey(oppID, myID)]; ok {
 			continue
 		}
 		opp := m.table.Get(j)
 		var src *rng.Source
 		if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
-			src = m.src.Split()
-			needSrcs = true
+			src = &ev.arena[len(ev.opps)]
+			m.src.SplitInto(src)
 		}
-		if queued == nil {
-			queued = make(map[uint64]int)
-		}
-		queued[key] = len(missOpps)
-		missOpps = append(missOpps, opp)
-		missSrcs = append(missSrcs, src)
+		ev.queued[key] = len(ev.opps)
+		ev.focals = append(ev.focals, my)
+		ev.opps = append(ev.opps, opp)
+		ev.srcs = append(ev.srcs, src)
 	}
-	// Play the misses through the bit-sliced batch kernel.
-	var results []game.Result
-	if len(missOpps) > 0 {
-		results = make([]game.Result, len(missOpps))
-		var srcs []*rng.Source
-		if needSrcs {
-			srcs = missSrcs
-		}
-		if err := m.engine.PlayBatch(my, missOpps, srcs, results); err != nil {
-			return 0, err
-		}
-		m.games += int64(len(missOpps))
-	}
-	// Pass 2: replay the one-game-at-a-time loop's probe/fill order with the
-	// plays precomputed.  Filling forward then reverse at the first
-	// encounter — not up front — matters for the noisy self-pair (another
-	// SSet holding the focal strategy): its key is its own reverse, so the
-	// first occurrence must see FitnessA while later occurrences see the
-	// FitnessB overwrite, exactly as the serial loop did.
+}
+
+// sumPayoffs is pass 2 of fitnessPairID for SSet i: it replays the
+// one-game-at-a-time probe/fill order against the per-event cache with the
+// plays precomputed.  Filling forward then reverse at the first encounter —
+// not up front — matters for the noisy self-pair (another SSet holding the
+// focal strategy): its key is its own reverse, so the first occurrence must
+// see FitnessA while later occurrences see the FitnessB overwrite, exactly
+// as the serial loop did.
+func (m *Model) sumPayoffs(i int) float64 {
+	ev := &m.event
+	myID := m.table.ID(i)
 	total := 0.0
+	deg := m.graph.Degree(i)
 	for k := 0; k < deg; k++ {
 		oppID := m.table.ID(m.graph.Neighbor(i, k))
-		key := uint64(myID)<<32 | uint64(oppID)
-		payoff, ok := cache[key]
+		key := pairKey(myID, oppID)
+		payoff, ok := ev.payoff[key]
 		if !ok {
-			res := results[queued[key]]
+			res := ev.results[ev.queued[key]]
 			payoff = res.FitnessA
-			cache[key] = payoff
-			// The reverse pairing gives the opponent's payoff; cache it too
-			// since the partner SSet is usually evaluated next.
-			cache[uint64(oppID)<<32|uint64(myID)] = res.FitnessB
+			ev.payoff[key] = payoff
+			// The reverse pairing gives the opponent's payoff; the partner
+			// SSet's evaluation may read it.
+			ev.payoff[pairKey(oppID, myID)] = res.FitnessB
 		}
 		total += payoff
 	}
-	return total, nil
+	return total
 }
 
 // fitnessCached computes the same sum but plays each distinct strategy pair
 // only once, reusing the result across SSets that hold identical strategies.
 // It is the fallback for tables holding strategies outside the codec (which
-// cannot be interned); fitnessCachedID is the normal path.
+// cannot be interned); fitnessPairID is the normal path.
 func (m *Model) fitnessCached(i int, cache map[[2]string]float64) (float64, error) {
 	my := m.table.Get(i)
 	myKey := my.String()

@@ -62,26 +62,42 @@ func (s *Source) Reseed(seed uint64) {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
-	return result
+	var out uint64
+	out, s.s[0], s.s[1], s.s[2], s.s[3] = next(s.s[0], s.s[1], s.s[2], s.s[3])
+	return out
+}
+
+// next is one xoshiro256** step on state words held in locals: it returns
+// the output and the advanced state.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return out, s0, s1, s2, s3
 }
 
 // Split derives a new, statistically independent Source from the current
 // stream.  The parent stream is advanced.  Splitting is the supported way to
 // hand independent generators to ranks and worker goroutines.
 func (s *Source) Split() *Source {
+	child := &Source{}
+	s.SplitInto(child)
+	return child
+}
+
+// SplitInto is Split without the allocation: it reseeds dst as the child
+// Split would have returned, advancing the parent identically.
+func (s *Source) SplitInto(dst *Source) {
 	// Derive the child seed from two parent outputs mixed through SplitMix64
 	// so that children of successive Split calls do not share obvious
 	// structure with the parent's raw outputs.
 	seed := s.Uint64() ^ bits.RotateLeft64(s.Uint64(), 32)
-	return New(seed)
+	dst.Reseed(seed)
 }
 
 // SplitN returns n independent child Sources (see Split).
@@ -133,6 +149,81 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// Bernoulli is Bool(p) with the float comparison precomputed as an integer
+// threshold, for loops that draw many events of one fixed probability.  For
+// p in (0,1), Float64() < p holds exactly when Uint64()>>11 < ceil(p·2⁵³):
+// Float64 is k/2⁵³ for the integer k = Uint64()>>11, the scaling by a power
+// of two is exact, and an integer is below a real exactly when it is below
+// the real's ceiling.  The zero value never fires.
+type Bernoulli struct {
+	// thr is ceil(p·2⁵³) in [1, 2⁵³-1] for p in (0,1); bernoulliNever and
+	// bernoulliAlways mark the p ≤ 0 and p ≥ 1 cases, which draw nothing.
+	thr uint64
+}
+
+const (
+	bernoulliNever  = 0
+	bernoulliAlways = 1 << 53
+)
+
+// NewBernoulli precomputes the threshold of Bool(p).  A NaN p never fires
+// and draws nothing, like p ≤ 0 (Bool would draw once and return false).
+func NewBernoulli(p float64) Bernoulli {
+	switch {
+	case p <= 0 || math.IsNaN(p):
+		return Bernoulli{thr: bernoulliNever}
+	case p >= 1:
+		return Bernoulli{thr: bernoulliAlways}
+	}
+	return Bernoulli{thr: uint64(math.Ceil(p * (1 << 53)))}
+}
+
+// Bernoulli returns true with the probability b was built from.  It
+// consumes the stream exactly as Bool(p) does and returns the same value.
+func (s *Source) Bernoulli(b Bernoulli) bool {
+	switch b.thr {
+	case bernoulliNever:
+		return false
+	case bernoulliAlways:
+		return true
+	}
+	return s.Uint64()>>11 < b.thr
+}
+
+// BernoulliLane draws the noise flips of one bit-sliced game lane: for each
+// round r in order it draws the focal player's flip and then the
+// opponent's, exactly as two Bernoulli(b) calls would, and ORs bit into
+// flipA[r] and flipB[r] respectively when the draw fires.  flipA and flipB
+// must have the same length.  The four state words stay in locals for the
+// whole loop, so the lane costs 2·len(flipA) inlined generator steps and
+// no branches on the drawn values.
+func (s *Source) BernoulliLane(b Bernoulli, bit uint64, flipA, flipB []uint64) {
+	flipB = flipB[:len(flipA)]
+	switch b.thr {
+	case bernoulliNever:
+		return
+	case bernoulliAlways:
+		for r := range flipA {
+			flipA[r] |= bit
+			flipB[r] |= bit
+		}
+		return
+	}
+	thr := b.thr
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	var k uint64
+	for r := range flipA {
+		// Both k>>11 and thr are below 2⁶³, so their difference is a
+		// negative int64 exactly when the draw fires, and its arithmetic
+		// shift is then the all-ones mask.
+		k, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		flipA[r] |= bit & uint64(int64(k>>11-thr)>>63)
+		k, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		flipB[r] |= bit & uint64(int64(k>>11-thr)>>63)
+	}
+	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
 }
 
 // Coin returns true with probability 1/2.

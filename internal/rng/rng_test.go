@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -459,4 +460,149 @@ func TestUnmarshalBinaryRejectsInvalid(t *testing.T) {
 	}
 	// The source must still work after rejected restores.
 	src.Uint64()
+}
+
+// checkBernoulliLane asserts that BernoulliLane sets exactly the bits the
+// canonical Bool sequence fires — focal flip first, two draws per round —
+// and leaves the source in the same state.
+func checkBernoulliLane(t *testing.T, seed uint64, p float64, rounds int) {
+	t.Helper()
+	ref, got := New(seed), New(seed)
+	const bit = uint64(1) << 37
+	flipA, flipB := make([]uint64, rounds), make([]uint64, rounds)
+	got.BernoulliLane(NewBernoulli(p), bit, flipA, flipB)
+	for r := 0; r < rounds; r++ {
+		for side, plane := range [2][]uint64{flipA, flipB} {
+			want := ref.Bool(p)
+			if plane[r] != 0 && plane[r] != bit {
+				t.Fatalf("p=%v round %d side %d: stray bits %#x", p, r, side, plane[r])
+			}
+			if (plane[r] == bit) != want {
+				t.Fatalf("p=%v round %d side %d: lane draw %v, Bool %v", p, r, side, plane[r] == bit, want)
+			}
+		}
+	}
+	if ref.State() != got.State() {
+		t.Fatalf("p=%v rounds=%d: source state %x after lane draw, %x after Bool", p, rounds, got.State(), ref.State())
+	}
+	// The scalar form must agree too, draw for draw.
+	ref, got = New(seed), New(seed)
+	b := NewBernoulli(p)
+	for i := 0; i < 2*rounds; i++ {
+		if g, w := got.Bernoulli(b), ref.Bool(p); g != w {
+			t.Fatalf("p=%v draw %d: Bernoulli %v, Bool %v", p, i, g, w)
+		}
+	}
+	if ref.State() != got.State() {
+		t.Fatalf("p=%v: source state diverged after %d scalar draws", p, 2*rounds)
+	}
+}
+
+// TestBernoulliMatchesBool pins the integer-threshold draws to Bool across
+// the probabilities the engine meets, the extremes of (0,1), and the
+// clamped cases that draw nothing.
+func TestBernoulliMatchesBool(t *testing.T) {
+	for _, p := range []float64{-1, 0, 1e-300, 1e-9, 0.05, 1.0 / 3, 0.5, 1 - 0x1p-53, 1, 2} {
+		for _, rounds := range []int{0, 1, 200} {
+			checkBernoulliLane(t, 2013+uint64(rounds), p, rounds)
+		}
+	}
+}
+
+// inverse returns the multiplicative inverse of an odd a modulo 2⁶⁴
+// (Newton's iteration; each step doubles the correct low bits).
+func inverse(a uint64) uint64 {
+	x := a
+	for i := 0; i < 6; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// sourceYielding returns a source whose next two Uint64 outputs are first
+// and second.  xoshiro256**'s output is rotl(s1·5, 7)·9, which inverts to
+// s1, and one step turns s1 into s1^s2^s0, so s2 fixes the second output.
+func sourceYielding(first, second uint64) *Source {
+	s1of := func(u uint64) uint64 { return bits.RotateLeft64(u*inverse(9), -7) * inverse(5) }
+	s0, s1 := uint64(0x243F6A8885A308D3), s1of(first)
+	s2 := s1of(second) ^ s1 ^ s0
+	src := &Source{}
+	if err := src.SetState([4]uint64{s0, s1, s2, 0x13198A2E03707344}); err != nil {
+		panic(err)
+	}
+	return src
+}
+
+// TestBernoulliThresholdBoundary draws at k = thr-1, thr and thr+1 directly:
+// sources are built to yield exactly those k (with every low bit set, the
+// worst case for the >>11), and the lane draw's focal and opponent flips,
+// the scalar Bernoulli and Bool must all agree with Float64's k/2⁵³ < p.
+func TestBernoulliThresholdBoundary(t *testing.T) {
+	for _, p := range []float64{1e-300, 1e-9, 0.05, 1.0 / 3, 0.5, 1 - 0x1p-53} {
+		b := NewBernoulli(p)
+		if b.thr < 1 || b.thr >= 1<<53 {
+			t.Fatalf("p=%v: threshold %d outside [1, 2⁵³)", p, b.thr)
+		}
+		for _, kA := range []uint64{b.thr - 1, b.thr, b.thr + 1} {
+			for _, kB := range []uint64{b.thr - 1, b.thr, b.thr + 1} {
+				if kA >= 1<<53 || kB >= 1<<53 {
+					continue
+				}
+				uA, uB := kA<<11|0x7FF, kB<<11|0x7FF
+				if got := sourceYielding(uA, uB); got.Uint64() != uA || got.Uint64() != uB {
+					t.Fatal("sourceYielding does not yield the requested outputs")
+				}
+				wantA, wantB := float64(kA)/(1<<53) < p, float64(kB)/(1<<53) < p
+				ref := sourceYielding(uA, uB)
+				if ref.Bool(p) != wantA || ref.Bool(p) != wantB {
+					t.Fatalf("p=%v k=(%d,%d): Bool disagrees with Float64", p, kA, kB)
+				}
+				scalar := sourceYielding(uA, uB)
+				if scalar.Bernoulli(b) != wantA || scalar.Bernoulli(b) != wantB {
+					t.Fatalf("p=%v k=(%d,%d): Bernoulli disagrees with Float64", p, kA, kB)
+				}
+				var flipA, flipB [1]uint64
+				sourceYielding(uA, uB).BernoulliLane(b, 1, flipA[:], flipB[:])
+				if (flipA[0] == 1) != wantA || (flipB[0] == 1) != wantB {
+					t.Fatalf("p=%v k=(%d,%d): lane draw (%d,%d), want (%v,%v)", p, kA, kB, flipA[0], flipB[0], wantA, wantB)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBernoulliThreshold asserts the lane-draw/Bool equivalence for
+// arbitrary seeds, probabilities and round counts.
+func FuzzBernoulliThreshold(f *testing.F) {
+	f.Add(uint64(2013), 0.05, uint16(200))
+	f.Add(uint64(1), 1e-300, uint16(1))
+	f.Add(uint64(7), 1-0x1p-53, uint16(64))
+	f.Add(uint64(0), 1.0, uint16(3))
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, rounds uint16) {
+		if math.IsNaN(p) {
+			return // documented: NaN never fires and draws nothing, unlike Bool
+		}
+		checkBernoulliLane(t, seed, p, int(rounds%1024))
+	})
+}
+
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	a, b := New(99), New(99)
+	var dst Source
+	for i := 0; i < 5; i++ {
+		child := a.Split()
+		b.SplitInto(&dst)
+		if child.State() != dst.State() || a.State() != b.State() {
+			t.Fatalf("split %d: SplitInto diverged from Split", i)
+		}
+	}
+}
+
+func BenchmarkBernoulliLane(b *testing.B) {
+	s := New(1)
+	bern := NewBernoulli(0.05)
+	flipA, flipB := make([]uint64, 200), make([]uint64, 200)
+	for i := 0; i < b.N; i++ {
+		s.BernoulliLane(bern, 1, flipA, flipB)
+	}
 }
