@@ -63,7 +63,8 @@ const batchAutoMaxMemory = 3
 // has played since the engine was built.  Engines update the counters
 // atomically, so snapshots are safe to take while games are in flight.
 type KernelStats struct {
-	// ScalarGames counts games replayed round by round by Engine.Play.
+	// ScalarGames counts games replayed round by round by Engine.Play,
+	// including cycle walks that reached the horizon before closing.
 	ScalarGames int64
 	// CycleGames counts games resolved by the cycle-closing closed form.
 	CycleGames int64

@@ -24,16 +24,19 @@ type Player interface {
 
 // AccumMode selects how the engine accumulates fitness each round.  It is
 // the axis of the paper's "Instruction"-level optimization in Figure 3 (the
-// hand-coded fused multiply-add fitness kernel).
+// hand-coded fused multiply-add fitness kernel).  The zero value is the
+// optimized AccumLookup; only the Figure 3 ablation (parallel optimization
+// levels 0–2) asks for AccumBranching.
 type AccumMode int
 
 const (
+	// AccumLookup (the default) resolves each round's payoff through the
+	// fused 4-entry look-up table (Matrix.Table) indexed by the round
+	// outcome code.
+	AccumLookup AccumMode = iota
 	// AccumBranching resolves each round's payoff through the four-way
 	// comparison of Matrix.Payoff.
-	AccumBranching AccumMode = iota
-	// AccumLookup resolves each round's payoff through the fused 4-entry
-	// look-up table (Matrix.Table) indexed by the round outcome code.
-	AccumLookup
+	AccumBranching
 )
 
 // String implements fmt.Stringer.
@@ -220,9 +223,17 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 		// the joint-state walk is periodic and the closed-form totals are
 		// bit-identical to a full replay (see KernelMode).  KernelBatch only
 		// changes batch routing, so single games keep the KernelAuto fast
-		// path.
-		if res, ok := e.playCycleClosing(a, b); ok {
-			e.stats.cycleGames.Add(1)
+		// path.  A walk that reaches the horizon before closing its cycle
+		// was a replay, and is counted as one.
+		wa, okA := a.(MoveTable)
+		wb, okB := b.(MoveTable)
+		if okA && okB {
+			res, closed := e.playCycleClosing(wa.Words(), wb.Words())
+			if closed {
+				e.stats.cycleGames.Add(1)
+			} else {
+				e.stats.scalarGames.Add(1)
+			}
 			return res, nil
 		}
 	}

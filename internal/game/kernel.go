@@ -93,22 +93,23 @@ type cycleKernel struct {
 	shift  uint
 }
 
-// next advances the joint state one round without accumulating anything;
-// used by the cycle-detection phase.
-func (k *cycleKernel) next(s int) int {
-	sA := s >> k.shift
-	sB := s & k.mask
-	ma := int(k.wa[sA>>6]>>(uint(sA)&63)) & 1
-	mb := int(k.wb[sB>>6]>>(uint(sB)&63)) & 1
-	sA = ((sA << 2) | ma<<1 | mb) & k.mask
-	sB = ((sB << 2) | mb<<1 | ma) & k.mask
-	return sA<<k.shift | sB
-}
-
-// accum collects the per-phase totals of the closed form.
+// accum collects running game totals.
 type accum struct {
 	fitA, fitB   float64
 	coopA, coopB int
+}
+
+// addTimes adds n copies of b to a.
+func (a *accum) addTimes(b accum, n int) {
+	a.fitA += float64(n) * b.fitA
+	a.fitB += float64(n) * b.fitB
+	a.coopA += n * b.coopA
+	a.coopB += n * b.coopB
+}
+
+// result returns the totals as the Result of a rounds-long game.
+func (a accum) result(rounds int) Result {
+	return Result{FitnessA: a.fitA, FitnessB: a.fitB, CooperationsA: a.coopA, CooperationsB: a.coopB, Rounds: rounds}
 }
 
 // round plays one round from joint state s, adds its payoffs and
@@ -127,91 +128,44 @@ func (k *cycleKernel) round(s int, a *accum) int {
 	return sA<<k.shift | sB
 }
 
-// playCycleClosing runs the cycle-closing fast path: Brent's cycle
-// detection over the joint-state walk, then the game totals as
-// prefix + k*cycle + tail.  It reports ok=false when the fast path does not
-// apply (a player without a packed move table, or a trajectory whose cycle
-// closes too late to save work), in which case the caller must replay the
-// game in full.  Callers guarantee the game is noiseless, both players are
-// deterministic, and the payoff matrix is integer-valued.
-func (e *Engine) playCycleClosing(a, b Player) (Result, bool) {
-	wta, ok := a.(MoveTable)
-	if !ok {
-		return Result{}, false
-	}
-	wtb, ok := b.(MoveTable)
-	if !ok {
-		return Result{}, false
-	}
+// playCycleClosing plays a noiseless game between two packed move tables in
+// one walk of at most rounds steps over the joint-state sequence.  The walk
+// accumulates the totals as it goes and keeps a Brent tortoise at step
+// 2^j - 1 together with the totals up to it (done) and since it (lap).
+// When the walk returns to the tortoise's joint state, everything after the
+// tortoise repeats with period lam, so the game is done + (reps+1)·lap plus
+// a tail of fewer than lam rounds; closed reports that this happened.  If
+// the walk reaches the horizon first, it was itself the full replay.  With
+// an integer-valued payoff matrix every term is an exact integer, so the
+// result is bit-identical to a round-by-round replay.
+func (e *Engine) playCycleClosing(wa, wb []uint64) (res Result, closed bool) {
 	k := cycleKernel{
-		wa:    wta.Words(),
-		wb:    wtb.Words(),
+		wa:    wa,
+		wb:    wb,
 		table: e.table,
 		mask:  (1 << (2 * uint(e.memSteps))) - 1,
 		shift: 2 * uint(e.memSteps),
 	}
 	rounds := e.rounds
-
-	// Brent's algorithm: find the cycle length lam, bounding the search so a
-	// cycle that closes beyond the game's horizon falls back to full replay
-	// (which is no more work than the search already did).
-	power, lam := 1, 1
-	tortoise := InitialState<<k.shift | InitialState
-	hare := k.next(tortoise)
-	steps := 1
-	for tortoise != hare {
-		if steps >= 2*rounds {
-			return Result{}, false
-		}
-		if power == lam {
-			tortoise = hare
-			power <<= 1
-			lam = 0
-		}
-		hare = k.next(hare)
-		lam++
-		steps++
-	}
-	// Find the cycle start mu with two pointers lam apart.
-	mu := 0
-	tortoise = InitialState<<k.shift | InitialState
-	hare = tortoise
-	for i := 0; i < lam; i++ {
-		hare = k.next(hare)
-	}
-	for tortoise != hare {
-		tortoise = k.next(tortoise)
-		hare = k.next(hare)
-		mu++
-	}
-	if mu+lam >= rounds {
-		// The game ends before completing one full cycle beyond the prefix;
-		// the closed form degenerates to a replay, so let the caller do it.
-		return Result{}, false
-	}
-
-	// Accumulate the prefix (mu rounds), one full cycle (lam rounds) and the
-	// tail ((rounds-mu) mod lam rounds from the cycle start).
-	var pre, cyc, tail accum
+	var done, lap accum
 	s := InitialState<<k.shift | InitialState
-	for i := 0; i < mu; i++ {
-		s = k.round(s, &pre)
+	tortoise, power, lam := s, 1, 0
+	for step := 1; step <= rounds; step++ {
+		s = k.round(s, &lap)
+		lam++
+		if s == tortoise {
+			done.addTimes(lap, 1+(rounds-step)/lam)
+			for i := (rounds - step) % lam; i > 0; i-- {
+				s = k.round(s, &done)
+			}
+			return done.result(rounds), true
+		}
+		if lam == power {
+			done.addTimes(lap, 1)
+			lap = accum{}
+			tortoise, power, lam = s, power<<1, 0
+		}
 	}
-	for i := 0; i < lam; i++ {
-		s = k.round(s, &cyc)
-	}
-	reps := (rounds - mu) / lam
-	rem := (rounds - mu) % lam
-	for i := 0; i < rem; i++ {
-		s = k.round(s, &tail)
-	}
-	// Integer-valued payoffs make every term an exact integer, so the closed
-	// form reproduces the sequential sum bit for bit.
-	return Result{
-		FitnessA:      pre.fitA + float64(reps)*cyc.fitA + tail.fitA,
-		FitnessB:      pre.fitB + float64(reps)*cyc.fitB + tail.fitB,
-		CooperationsA: pre.coopA + reps*cyc.coopA + tail.coopA,
-		CooperationsB: pre.coopB + reps*cyc.coopB + tail.coopB,
-		Rounds:        rounds,
-	}, true
+	done.addTimes(lap, 1)
+	return done.result(rounds), false
 }

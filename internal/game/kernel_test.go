@@ -234,6 +234,193 @@ func TestCycleClosingSelfPlay(t *testing.T) {
 	}
 }
 
+// jointRho returns mu+lam, the number of distinct joint states on the
+// deterministic walk of a against b, by plain per-round play with a map of
+// visited states; it stops looking past limit and then returns limit+1.
+func jointRho(a, b Player, limit int) int {
+	mem := a.MemorySteps()
+	hA, hB := NewHistory(mem), NewHistory(mem)
+	seen := map[[2]int]bool{}
+	for step := 0; step <= limit; step++ {
+		key := [2]int{hA.State(), hB.State()}
+		if seen[key] {
+			return step
+		}
+		seen[key] = true
+		ma, mb := a.Move(hA.State(), nil), b.Move(hB.State(), nil)
+		hA.Push(ma, mb)
+		hB.Push(mb, ma)
+	}
+	return limit + 1
+}
+
+// sparseWordPlayer is a random memory-n move table that defects in about
+// one state in eight, so its games against similar tables close early.
+func sparseWordPlayer(mem int, src *rng.Source) *wordPlayer {
+	p := randomWordPlayer(mem, src)
+	for i := range p.words {
+		p.words[i] &= src.Uint64() & src.Uint64()
+	}
+	return p
+}
+
+// TestKernelStatsAttribution pins which counter a move-table game moves: a
+// walk that returns to its Brent tortoise before the horizon is a cycle
+// game, and a walk that reaches the horizon first is a replay and counts as
+// a scalar game.  Brent's tortoise sits at step 2^j-1, so a walk with
+// mu+lam ≤ (rounds-1)/3 always closes within the horizon, and one with
+// mu+lam > rounds never can.
+func TestKernelStatsAttribution(t *testing.T) {
+	const mem, rounds = 6, DefaultRounds
+	src := rng.New(2013)
+	find := func(what string, pair func() (Player, Player), closes bool) (Player, Player) {
+		for try := 0; try < 1000; try++ {
+			a, b := pair()
+			rho := jointRho(a, b, rounds)
+			if closes && rho <= (rounds-1)/3 || !closes && rho > rounds {
+				return a, b
+			}
+		}
+		t.Fatalf("no %s found", what)
+		return nil, nil
+	}
+	sparse := func() (Player, Player) { return sparseWordPlayer(mem, src), sparseWordPlayer(mem, src) }
+	dense := func() (Player, Player) { return randomWordPlayer(mem, src), randomWordPlayer(mem, src) }
+	self := func() (Player, Player) { p := randomWordPlayer(mem, src); return p, p }
+	for _, tc := range []struct {
+		name   string
+		pair   func() (Player, Player)
+		closes bool
+	}{
+		{"closing pair", sparse, true},
+		{"open pair", dense, false},
+		{"self-play", self, true},
+	} {
+		a, b := find(tc.name, tc.pair, tc.closes)
+		auto, full := kernelEnginePair(t, EngineConfig{Rounds: rounds, MemorySteps: mem})
+		got, err := auto.Play(a, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.Play(a, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: cycle walk %+v, full replay %+v", tc.name, got, want)
+		}
+		wantStats := KernelStats{ScalarGames: 1}
+		if tc.closes {
+			wantStats = KernelStats{CycleGames: 1}
+		}
+		if st := auto.KernelStats(); st != wantStats {
+			t.Errorf("%s: kernel stats %+v, want %+v", tc.name, st, wantStats)
+		}
+	}
+}
+
+// oraclePlay is the test-only reference for one noiseless game: a plain
+// round loop over the last n rounds of play, kept in a slice, asking each
+// player for its move with no packed state, cycle logic or History.
+func oraclePlay(a, b Player, m Matrix, rounds int) Result {
+	type round struct{ a, b Move }
+	mem := a.MemorySteps()
+	last := make([]round, mem) // last[0] is the most recent round
+	payoff := func(my, opp Move) float64 {
+		switch {
+		case my == Cooperate && opp == Cooperate:
+			return m.Reward
+		case my == Cooperate:
+			return m.Sucker
+		case opp == Cooperate:
+			return m.Temptation
+		default:
+			return m.Punishment
+		}
+	}
+	res := Result{Rounds: rounds}
+	for r := 0; r < rounds; r++ {
+		stateA, stateB := 0, 0
+		for i, rd := range last {
+			stateA |= (int(rd.a)<<1 | int(rd.b)) << (2 * i)
+			stateB |= (int(rd.b)<<1 | int(rd.a)) << (2 * i)
+		}
+		ma, mb := a.Move(stateA, nil), b.Move(stateB, nil)
+		res.FitnessA += payoff(ma, mb)
+		res.FitnessB += payoff(mb, ma)
+		if ma == Cooperate {
+			res.CooperationsA++
+		}
+		if mb == Cooperate {
+			res.CooperationsB++
+		}
+		last = append([]round{{ma, mb}}, last[:mem-1]...)
+	}
+	return res
+}
+
+// FuzzCycleKernel checks Play under KernelAuto against oraclePlay bit for
+// bit: memory 1–6, random move tables (masked so that sparse, structured
+// tables whose walks close early occur too), rounds 1–400 and a random
+// integer payoff matrix.
+func FuzzCycleKernel(f *testing.F) {
+	f.Add(uint8(1), uint16(200), uint64(2013), ^uint64(0), ^uint64(0), false, int8(3), int8(0), int8(5), int8(1))
+	f.Add(uint8(6), uint16(200), uint64(7), uint64(0x0101010101010101), uint64(0x8000000000000001), false, int8(3), int8(0), int8(5), int8(1))
+	f.Add(uint8(3), uint16(1), uint64(1), ^uint64(0), uint64(0), true, int8(-4), int8(9), int8(0), int8(-128))
+	f.Add(uint8(4), uint16(399), uint64(99), uint64(0x00ff00ff00ff00ff), ^uint64(0), true, int8(127), int8(-1), int8(2), int8(2))
+	f.Fuzz(func(t *testing.T, mem uint8, rounds uint16, seed, maskA, maskB uint64, self bool, r, s, tp, p int8) {
+		n := int(mem)%MaxMemorySteps + 1
+		src := rng.New(seed)
+		a, b := randomWordPlayer(n, src), randomWordPlayer(n, src)
+		for i := range a.words {
+			a.words[i] &= maskA
+			b.words[i] &= maskB
+		}
+		if self {
+			b = a
+		}
+		spec, err := Generic().WithPayoff(Matrix{Reward: float64(r), Sucker: float64(s), Temptation: float64(tp), Punishment: float64(p)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(EngineConfig{Game: spec, Payoff: spec.Payoff, Rounds: int(rounds)%400 + 1, MemorySteps: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Play(a, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oraclePlay(a, b, e.Payoff(), e.Rounds()); got != want {
+			t.Fatalf("memory-%d, %d rounds, payoff %+v: Play %+v, oracle %+v", n, e.Rounds(), e.Payoff(), got, want)
+		}
+		if st := e.KernelStats(); st.CycleGames+st.ScalarGames != 1 {
+			t.Fatalf("one game moved the counters to %+v", st)
+		}
+	})
+}
+
+// BenchmarkCycleClosingMemorySix plays random memory-6 move-table pairs at
+// the paper's 200 rounds, the pair-cache miss of the memory-6 workloads.
+func BenchmarkCycleClosingMemorySix(b *testing.B) {
+	src := rng.New(6)
+	players := make([]*wordPlayer, 64)
+	for i := range players {
+		players[i] = randomWordPlayer(6, src)
+	}
+	eng, err := NewEngine(EngineConfig{Rounds: DefaultRounds, MemorySteps: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Play(players[i%64], players[(i/64+i+1)%64], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkKernelMemoryOne(b *testing.B) {
 	src := rng.New(11)
 	a := randomWordPlayer(1, src)

@@ -50,15 +50,17 @@ func RoundCode(my, opp Move) int {
 // StateMode selects how the engine identifies the current game state after
 // each round.  It is the axis of the paper's "Compiler"-level optimization
 // in Figure 3: the original implementation searched a global table of
-// states, the optimized one uses an O(1) rolling code.
+// states, the optimized one uses an O(1) rolling code.  The zero value is
+// the optimized StateRolling; only the Figure 3 ablation (parallel
+// optimization levels 0–1) asks for StateLinearSearch.
 type StateMode int
 
 const (
+	// StateRolling (the default) updates the state code in O(1) per round.
+	StateRolling StateMode = iota
 	// StateLinearSearch reproduces the paper's original find_state: the
 	// current view is compared against every row of the global state table.
-	StateLinearSearch StateMode = iota
-	// StateRolling updates the state code in O(1) per round.
-	StateRolling
+	StateLinearSearch
 )
 
 // String implements fmt.Stringer.

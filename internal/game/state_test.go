@@ -220,6 +220,25 @@ func TestStateTableString(t *testing.T) {
 	}
 }
 
+// TestZeroModesAreOptimized pins the zero-valued configuration to the
+// optimized kernel: every engine built without naming a mode plays rolling
+// state codes and look-up accumulation, and builds no state table.
+func TestZeroModesAreOptimized(t *testing.T) {
+	if StateMode(0) != StateRolling {
+		t.Errorf("StateMode(0) = %v, want %v", StateMode(0), StateRolling)
+	}
+	if AccumMode(0) != AccumLookup {
+		t.Errorf("AccumMode(0) = %v, want %v", AccumMode(0), AccumLookup)
+	}
+	e, err := NewEngine(EngineConfig{Rounds: DefaultRounds, MemorySteps: MaxMemorySteps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.stateMode != StateRolling || e.accumMode != AccumLookup || e.states != nil {
+		t.Errorf("zero-valued engine plays %v/%v (state table built: %v)", e.stateMode, e.accumMode, e.states != nil)
+	}
+}
+
 func TestStateModeAccumModeStrings(t *testing.T) {
 	if StateLinearSearch.String() != "linear-search" || StateRolling.String() != "rolling" {
 		t.Fatal("StateMode.String incorrect")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"evogame/internal/game"
 	"evogame/internal/population"
 	"evogame/internal/strategy"
 )
@@ -104,6 +105,14 @@ func TestOptLevelMapping(t *testing.T) {
 	}
 	if OptStateLookup.accumMode().String() != "branching" || OptFusedFitness.accumMode().String() != "lookup" {
 		t.Fatal("accumulation mode mapping wrong")
+	}
+	// The Figure 3 ablation asks for the unoptimized kernel explicitly: the
+	// zero-valued modes are the optimized ones.
+	if OptOriginal.stateMode() != game.StateLinearSearch || OptOriginal.accumMode() != game.AccumBranching {
+		t.Fatalf("level 0 plays %v/%v, want linear-search/branching", OptOriginal.stateMode(), OptOriginal.accumMode())
+	}
+	if OptFusedFitness.stateMode() != game.StateRolling || OptFusedFitness.accumMode() != game.AccumLookup {
+		t.Fatalf("level 3 plays %v/%v, want rolling/lookup", OptFusedFitness.stateMode(), OptFusedFitness.accumMode())
 	}
 	names := map[OptLevel]string{
 		OptOriginal: "original", OptNonBlockingComm: "comm",

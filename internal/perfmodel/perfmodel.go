@@ -85,6 +85,11 @@ func Calibrate(gamesPerDepth int) (Calibration, error) {
 		for i := range players {
 			players[i] = strategy.RandomPure(mem, src)
 		}
+		// One untimed game first, so the first depth timed does not also
+		// pay for warming caches and the allocator.
+		if _, err := eng.Play(players[0], players[1], nil); err != nil {
+			return Calibration{}, err
+		}
 		start := time.Now()
 		rounds := 0
 		for g := 0; g < gamesPerDepth; g++ {

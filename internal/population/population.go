@@ -114,7 +114,8 @@ type Config struct {
 	// for a given seed.
 	EvalMode fitness.EvalMode
 	// StateMode and AccumMode select the kernel optimization levels
-	// (Figure 3); the zero values are the optimized settings.
+	// (Figure 3); the zero values are the optimized settings
+	// (game.StateRolling, game.AccumLookup).
 	StateMode game.StateMode
 	AccumMode game.AccumMode
 	// Kernel selects the deterministic-game inner loop; the zero value,

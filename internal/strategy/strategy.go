@@ -13,8 +13,11 @@
 package strategy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"strings"
 
 	"evogame/internal/game"
 	"evogame/internal/rng"
@@ -95,12 +98,16 @@ func ParsePure(memSteps int, s string) (*Pure, error) {
 	return p, nil
 }
 
-func (p *Pure) maskTail() {
-	rem := p.n % 64
-	if rem != 0 {
-		p.bits[len(p.bits)-1] &= (1 << uint(rem)) - 1
+// tailMask returns the mask of the last word's bits that hold states: all
+// of them from memory-3 up, the low 4 or 16 at memory 1–2.
+func (p *Pure) tailMask() uint64 {
+	if rem := p.n % 64; rem != 0 {
+		return (1 << uint(rem)) - 1
 	}
+	return ^uint64(0)
 }
+
+func (p *Pure) maskTail() { p.bits[len(p.bits)-1] &= p.tailMask() }
 
 // MemorySteps implements game.Player.
 func (p *Pure) MemorySteps() int { return p.mem }
@@ -165,11 +172,10 @@ func (p *Pure) Equal(other Strategy) bool {
 
 // DefectionCount returns the number of states in which the strategy defects.
 func (p *Pure) DefectionCount() int {
-	count := 0
-	for s := 0; s < p.n; s++ {
-		if p.Move(s, nil) == game.Defect {
-			count++
-		}
+	last := len(p.bits) - 1
+	count := bits.OnesCount64(p.bits[last] & p.tailMask())
+	for _, w := range p.bits[:last] {
+		count += bits.OnesCount64(w)
 	}
 	return count
 }
@@ -182,32 +188,35 @@ func (p *Pure) Hamming(q *Pure) (int, error) {
 	}
 	d := 0
 	for i := range p.bits {
-		d += popcount(p.bits[i] ^ q.bits[i])
+		d += bits.OnesCount64(p.bits[i] ^ q.bits[i])
 	}
 	return d, nil
-}
-
-func popcount(x uint64) int {
-	// math/bits is not imported elsewhere in this file; keep the dependency
-	// local to the one call site via a tiny loop-free implementation.
-	x = x - ((x >> 1) & 0x5555555555555555)
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }
 
 // String renders the full move table as '0'/'1' characters, state 0 first.
 // For memory-one this matches the rows of the paper's Table III.
 func (p *Pure) String() string {
-	buf := make([]byte, p.n)
-	for s := 0; s < p.n; s++ {
-		if p.Move(s, nil) == game.Defect {
-			buf[s] = '1'
-		} else {
-			buf[s] = '0'
+	var sb strings.Builder
+	sb.Grow(p.n)
+	var chunk [64]byte
+	for i, w := range p.bits {
+		for j := 0; j < 8; j++ {
+			binary.LittleEndian.PutUint64(chunk[8*j:], moveChars(byte(w>>(8*j))))
 		}
+		sb.Write(chunk[:min(64, p.n-64*i)])
 	}
-	return string(buf)
+	return sb.String()
+}
+
+// moveChars renders the 8 moves packed in v as '0'/'1' characters, low bit
+// first, in the bytes of a little-endian word: it spreads bit j to the low
+// bit of byte j and adds '0' to every byte.
+func moveChars(v byte) uint64 {
+	x := uint64(v)
+	x = (x | x<<28) & 0x0000000f0000000f
+	x = (x | x<<14) & 0x0003000300030003
+	x = (x | x<<7) & 0x0101010101010101
+	return x | 0x3030303030303030
 }
 
 // Words returns the packed move table; used by the codec and the k-means

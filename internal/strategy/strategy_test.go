@@ -568,6 +568,61 @@ func TestQuickHammingMatchesMoves(t *testing.T) {
 	}
 }
 
+// TestPureStringAndDefectionCountMatchMoves checks the word-level String and
+// DefectionCount against a per-state Move rendering at every memory depth,
+// for strategies built directly and through the codec's decode path.
+func TestPureStringAndDefectionCountMatchMoves(t *testing.T) {
+	src := rng.New(17)
+	for mem := 1; mem <= game.MaxMemorySteps; mem++ {
+		all := NewPure(mem)
+		for s := 0; s < all.NumStates(); s++ {
+			all.SetMove(s, game.Defect)
+		}
+		for i, p := range []*Pure{NewPure(mem), all, RandomPure(mem, src), RandomPure(mem, src)} {
+			buf, err := Encode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []*Pure{p, d.(*Pure)} {
+				want := make([]byte, q.NumStates())
+				defects := 0
+				for s := range want {
+					want[s] = '0'
+					if q.Move(s, nil) == game.Defect {
+						want[s] = '1'
+						defects++
+					}
+				}
+				if got := q.String(); got != string(want) {
+					t.Fatalf("memory-%d strategy %d: String = %q, want %q", mem, i, got, want)
+				}
+				if got := q.DefectionCount(); got != defects {
+					t.Fatalf("memory-%d strategy %d: DefectionCount = %d, want %d", mem, i, got, defects)
+				}
+			}
+		}
+	}
+	p := RandomPure(6, src)
+	if n := testing.AllocsPerRun(10, func() { _ = p.String() }); n != 1 {
+		t.Errorf("memory-6 String allocates %v objects, want 1", n)
+	}
+}
+
+var stringSink string
+
+func BenchmarkPureStringMemorySix(b *testing.B) {
+	p := RandomPure(6, rng.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stringSink = p.String()
+	}
+}
+
 func BenchmarkRandomPureMemorySix(b *testing.B) {
 	src := rng.New(1)
 	b.ReportAllocs()
