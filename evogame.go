@@ -270,9 +270,10 @@ type SimulationConfig struct {
 	// games are evaluated in batches.  All kernel modes produce identical
 	// results for identical seeds; see docs/PERFORMANCE.md.
 	Kernel string
-	// Workers bounds the worker goroutines used for game play inside a
-	// fitness evaluation.  Zero selects GOMAXPROCS; negative values are
-	// rejected.  The result is independent of the worker count.
+	// Workers is validated (negative values are rejected) but otherwise
+	// unused: the serial engine plays every game on the calling goroutine,
+	// so results cannot depend on it.  The field stays only until the
+	// benchmark harness, which sets it by name, can drop it.
 	Workers int
 	// Game names the scenario to play; empty selects "ipd", the paper's
 	// Iterated Prisoner's Dilemma.  See Games() for the registry.
@@ -646,8 +647,10 @@ func serialResultFromInternal(res population.Result) SimulationResult {
 type ParallelConfig struct {
 	// Ranks is the total number of ranks including the Nature Agent (>= 2).
 	Ranks int
-	// WorkersPerRank bounds the worker goroutines used for game play inside
-	// each rank.  Zero selects GOMAXPROCS; negative values are rejected.
+	// WorkersPerRank bounds the worker goroutines each rank fans its
+	// EvalFull game play across (the cached modes evaluate on the rank's
+	// own goroutine).  Zero selects GOMAXPROCS; negative values are
+	// rejected.  The result is independent of the worker count.
 	WorkersPerRank int
 	// OptimizationLevel selects the Figure 3 optimization level 0..3
 	// (0 = original, 1 = non-blocking comm, 2 = + state lookup,

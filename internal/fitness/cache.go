@@ -205,8 +205,9 @@ func (c *PairCache) NewView(eng *game.Engine) (*PairCache, error) {
 // all-deterministic table of codec-encodable strategies (so every entry can
 // be interned).  Learning only copies strategies and the mutation operator
 // only generates pure ones, so a table that starts deterministic stays
-// deterministic; both engines use this single gate to decide whether to
-// route evaluation through the subsystem or fall back to their full paths.
+// deterministic.  NewEvaluator applies it once at setup, which is how both
+// engines decide whether to route evaluation through the subsystem or fall
+// back to their full paths.
 func CacheUsable(eng *game.Engine, table []strategy.Strategy) bool {
 	if eng == nil || eng.Noise() > 0 {
 		return false
@@ -229,7 +230,7 @@ func (c *PairCache) Engine() *game.Engine { return c.eng }
 func (c *PairCache) GameID() string { return c.store.gameID }
 
 // Interner returns the registry issuing the dense strategy IDs PlayID
-// accepts.  Engines intern their strategy tables through it once per
+// accepts.  An Evaluator interns its strategy table through it once per
 // strategy-change event, so the per-game path never touches the codec.
 // Views over one store share one registry, so an ID issued to any view is
 // valid in all of them.
@@ -238,8 +239,8 @@ func (c *PairCache) Interner() *intern.Registry { return c.store.reg }
 // DeltaExact reports whether the IncrementalMatrix's delta updates are
 // bit-exact for the engine's game: with an integer-valued payoff matrix
 // every fitness sum is an exactly-representable integer, so subtracting and
-// re-adding pair payoffs reproduces a fresh evaluation bit for bit.  The
-// engines downgrade EvalIncremental to EvalCached when this fails (for
+// re-adding pair payoffs reproduces a fresh evaluation bit for bit.
+// EffectiveMode downgrades EvalIncremental to EvalCached when this fails (for
 // example a generic 2x2 game with fractional payoffs), preserving the
 // all-modes-identical guarantee.
 func DeltaExact(eng *game.Engine) bool {
@@ -249,9 +250,9 @@ func DeltaExact(eng *game.Engine) bool {
 // EffectiveMode returns the evaluation mode an engine should actually run
 // for the requested mode: EvalIncremental downgrades to EvalCached when the
 // engine's game cannot guarantee bit-exact delta updates (see DeltaExact).
-// Both engines route their mode selection through this single gate so a new
-// cache-validity condition cannot be applied to one engine and missed in
-// the other.
+// NewEvaluator resolves every engine's mode through this single gate, so a
+// new cache-validity condition cannot be applied to one engine and missed
+// in the other.
 func EffectiveMode(eng *game.Engine, mode EvalMode) EvalMode {
 	if mode == EvalIncremental && !DeltaExact(eng) {
 		return EvalCached

@@ -8,7 +8,7 @@
 // the strategy pair.  Replaying it every generation — as the literal
 // implementation of the paper's pseudo code does — performs O(S²) games per
 // generation even though at most one or two of the S Strategy Sets change
-// strategy per generation.  The package provides two layers on top of the
+// strategy per generation.  The package provides three layers on top of the
 // game kernel:
 //
 //   - PairCache memoizes game.Result per canonical strategy-pair encoding,
@@ -24,6 +24,10 @@
 //     O(D²) distinct-pair kernels amortised over the run plus O(S) updates
 //     per adoption/mutation event, where D is the number of distinct
 //     strategies present.
+//   - Evaluator is what the engines hold: NewEvaluator is the one gate
+//     between the memoized path and an engine's full path, and the
+//     Evaluator owns the cache view, the interned-ID mirror of the strategy
+//     table and, in EvalIncremental mode, the matrix.
 //
 // # Cache validity conditions
 //
@@ -35,10 +39,10 @@
 //
 // When either condition fails, PairCache.Play transparently bypasses the
 // cache and plays the game with the supplied randomness source, so callers
-// need no mode checks of their own.  The engines additionally fall back to
-// their full evaluation paths for noisy or mixed populations so that the
-// random-number streams — and therefore the trajectories — are bit-for-bit
-// identical to EvalFull.
+// need no mode checks of their own.  NewEvaluator returns nil for noisy or
+// mixed populations, so the engines fall back to their full evaluation
+// paths and the random-number streams — and therefore the trajectories —
+// are bit-for-bit identical to EvalFull.
 //
 // The delta update of IncrementalMatrix subtracts and re-adds float64 pair
 // payoffs.  With the standard Prisoner's Dilemma payoff matrix (and any

@@ -262,17 +262,37 @@ func testTable(n int, seed uint64) []strategy.Strategy {
 	return table
 }
 
+// wellMixed returns the complete graph on n SSets.
+func wellMixed(t testing.TB, n int) topology.Graph {
+	t.Helper()
+	g, err := (topology.Spec{}).Build(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// newIncremental builds an EvalIncremental evaluator over the rows [lo, hi)
+// of table on graph g (well-mixed when nil) with a private cache.
+func newIncremental(t *testing.T, eng *game.Engine, g topology.Graph, table []strategy.Strategy, lo, hi int) *Evaluator {
+	t.Helper()
+	if g == nil {
+		g = wellMixed(t, len(table))
+	}
+	e, err := NewEvaluator(eng, EvalIncremental, nil, g, table, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e == nil || e.matrix == nil {
+		t.Fatal("EvalIncremental on a noiseless pure table built no matrix")
+	}
+	return e
+}
+
 func TestIncrementalMatrixMatchesBruteForce(t *testing.T) {
 	eng := newEngine(t, 0)
-	cache, err := NewPairCache(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	table := testTable(12, 5)
-	m, err := NewIncrementalMatrix(cache, nil, table, 0, len(table))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newIncremental(t, eng, nil, table, 0, len(table))
 	for i := range table {
 		got, err := m.Fitness(i)
 		if err != nil {
@@ -286,15 +306,8 @@ func TestIncrementalMatrixMatchesBruteForce(t *testing.T) {
 
 func TestIncrementalMatrixUpdateStaysExact(t *testing.T) {
 	eng := newEngine(t, 0)
-	cache, err := NewPairCache(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	table := testTable(10, 9)
-	m, err := NewIncrementalMatrix(cache, nil, table, 0, len(table))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newIncremental(t, eng, nil, table, 0, len(table))
 	// Materialise every row, then churn the table through a sequence of
 	// strategy changes and require the delta-updated sums to equal a fresh
 	// brute-force evaluation after every change.
@@ -329,15 +342,9 @@ func TestIncrementalMatrixUpdateStaysExact(t *testing.T) {
 }
 
 func TestIncrementalMatrixLazyRows(t *testing.T) {
-	cache, err := NewPairCache(newEngine(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	table := []strategy.Strategy{strategy.TFT(1), strategy.AllD(1), strategy.WSLS(1), strategy.AllC(1)}
-	m, err := NewIncrementalMatrix(cache, nil, table, 0, len(table))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newIncremental(t, newEngine(t, 0), nil, table, 0, len(table))
+	cache := m.Cache()
 	if cache.Plays() != 0 {
 		t.Fatal("matrix construction should not play games")
 	}
@@ -359,19 +366,9 @@ func TestIncrementalMatrixLazyRows(t *testing.T) {
 
 func TestIncrementalMatrixBlockRange(t *testing.T) {
 	eng := newEngine(t, 0)
-	cache, err := NewPairCache(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	table := testTable(9, 13)
 	lo, hi := 3, 7
-	m, err := NewIncrementalMatrix(cache, nil, table, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotLo, gotHi := m.Rows(); gotLo != lo || gotHi != hi {
-		t.Fatalf("Rows() = [%d,%d)", gotLo, gotHi)
-	}
+	m := newIncremental(t, eng, nil, table, lo, hi)
 	for i := lo; i < hi; i++ {
 		got, err := m.Fitness(i)
 		if err != nil {
@@ -401,38 +398,35 @@ func TestIncrementalMatrixBlockRange(t *testing.T) {
 }
 
 func TestIncrementalMatrixValidation(t *testing.T) {
-	cache, err := NewPairCache(newEngine(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, 0)
 	table := testTable(4, 1)
-	if _, err := NewIncrementalMatrix(nil, nil, table, 0, 4); err == nil {
-		t.Fatal("accepted a nil cache")
+	g := wellMixed(t, 4)
+	if _, err := NewEvaluator(eng, EvalIncremental, nil, nil, table, 0, 4); err == nil {
+		t.Fatal("accepted a nil graph")
 	}
-	if _, err := NewIncrementalMatrix(cache, nil, table, -1, 4); err == nil {
+	if _, err := NewEvaluator(eng, EvalIncremental, nil, wellMixed(t, 5), table, 0, 4); err == nil {
+		t.Fatal("accepted a graph of the wrong size")
+	}
+	if _, err := NewEvaluator(eng, EvalIncremental, nil, g, table, -1, 4); err == nil {
 		t.Fatal("accepted a negative lo")
 	}
-	if _, err := NewIncrementalMatrix(cache, nil, table, 2, 1); err == nil {
+	if _, err := NewEvaluator(eng, EvalIncremental, nil, g, table, 2, 1); err == nil {
 		t.Fatal("accepted hi < lo")
 	}
-	if _, err := NewIncrementalMatrix(cache, nil, table, 0, 5); err == nil {
+	if _, err := NewEvaluator(eng, EvalIncremental, nil, g, table, 0, 5); err == nil {
 		t.Fatal("accepted hi beyond the table")
 	}
-	if _, err := NewIncrementalMatrix(cache, nil, []strategy.Strategy{nil}, 0, 1); err == nil {
-		t.Fatal("accepted a nil strategy")
+	// A nil entry fails the cache-validity gate: the engine keeps its full
+	// path, which rejects the entry itself.
+	if e, err := NewEvaluator(eng, EvalIncremental, nil, wellMixed(t, 2), []strategy.Strategy{strategy.TFT(1), nil}, 0, 2); e != nil || err != nil {
+		t.Fatalf("nil strategy: evaluator %v, err %v; want the full path", e, err)
 	}
-	m, err := NewIncrementalMatrix(cache, nil, table, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newIncremental(t, eng, g, table, 0, 4)
 	if err := m.Update(9, strategy.TFT(1)); err == nil {
 		t.Fatal("accepted an out-of-range update index")
 	}
 	if err := m.Update(0, nil); err == nil {
 		t.Fatal("accepted a nil strategy update")
-	}
-	if m.Len() != 4 {
-		t.Fatalf("Len() = %d", m.Len())
 	}
 }
 
@@ -442,10 +436,6 @@ func TestIncrementalMatrixValidation(t *testing.T) {
 // through a churn of strategy changes.
 func TestIncrementalMatrixGraphRestricted(t *testing.T) {
 	eng := newEngine(t, 0)
-	cache, err := NewPairCache(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	table := testTable(12, 5)
 	spec, err := topology.Parse("ring:4")
 	if err != nil {
@@ -466,9 +456,9 @@ func TestIncrementalMatrixGraphRestricted(t *testing.T) {
 		}
 		return total
 	}
-	m, err := NewIncrementalMatrix(cache, g, table, 0, len(table))
-	if err != nil {
-		t.Fatal(err)
+	m := newIncremental(t, eng, g, table, 0, len(table))
+	if m.matrix.graph == nil {
+		t.Fatal("a ring collapsed to the dense well-mixed rows")
 	}
 	for i := range table {
 		got, err := m.Fitness(i)
@@ -498,13 +488,9 @@ func TestIncrementalMatrixGraphRestricted(t *testing.T) {
 	}
 	// The complete graph must collapse to the dense well-mixed path and
 	// agree with the all-pairs brute force.
-	wm, err := (topology.Spec{}).Build(len(table), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := NewIncrementalMatrix(cache, wm, table, 0, len(table))
-	if err != nil {
-		t.Fatal(err)
+	dense := newIncremental(t, eng, nil, table, 0, len(table))
+	if dense.matrix.graph != nil {
+		t.Fatal("the complete graph did not collapse to the dense rows")
 	}
 	for i := range table {
 		got, err := dense.Fitness(i)

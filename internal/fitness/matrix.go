@@ -3,7 +3,6 @@ package fitness
 import (
 	"fmt"
 
-	"evogame/internal/strategy"
 	"evogame/internal/topology"
 )
 
@@ -15,11 +14,10 @@ import (
 // other; under a structured topology only graph edges are evaluated, so a
 // row costs the SSet's degree in cache lookups instead of S-1.
 //
-// Strategies are tracked as the dense interned IDs of the cache's registry,
-// so row rebuilds and delta updates go through PairCache.PlayID — integer
-// pair lookups with no per-game encoding or string keys.  Interning happens
-// once per strategy-change event in Update, which is O(events) over a run,
-// not O(games).
+// Strategies are tracked as dense interned IDs read from the owning
+// Evaluator's mirror, so row rebuilds and delta updates go through
+// PairCache.PlayID — integer pair lookups with no per-game encoding or
+// string keys.
 //
 // Rows are built lazily through the PairCache on the first Fitness request
 // and kept current thereafter: when the strategy of SSet t changes, row t
@@ -35,11 +33,11 @@ import (
 // pure function of the pair and the delta updates are exact; see the
 // package documentation for the cache-validity conditions.
 //
-// The type is not safe for concurrent use; each engine (or rank) owns one.
+// The type is not safe for concurrent use; each Evaluator owns one.
 type IncrementalMatrix struct {
 	cache  *PairCache
 	graph  topology.Graph // nil means well-mixed (all pairs interact)
-	ids    []uint32       // interned strategy ID per SSet
+	ids    []uint32       // the owning Evaluator's ID mirror, one per SSet
 	lo, hi int
 
 	// pay[r] holds the focal payoffs of SSet lo+r.  Well-mixed (nil graph)
@@ -51,34 +49,11 @@ type IncrementalMatrix struct {
 	built []bool
 }
 
-// NewIncrementalMatrix returns a matrix tracking the given strategy table
-// and materialising the rows [lo, hi).  A nil graph selects the well-mixed
-// population (every pair interacts); a non-nil graph restricts evaluation
-// to its edges and must span exactly len(table) SSets.  Every table entry
-// is interned into the cache's registry; keep the table current with
-// Update.
-func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.Strategy, lo, hi int) (*IncrementalMatrix, error) {
-	if cache == nil {
-		return nil, fmt.Errorf("fitness: nil pair cache")
-	}
-	if lo < 0 || hi < lo || hi > len(table) {
-		return nil, fmt.Errorf("fitness: row range [%d,%d) invalid for %d strategies", lo, hi, len(table))
-	}
-	if g != nil && g.Len() != len(table) {
-		return nil, fmt.Errorf("fitness: graph spans %d SSets but the table has %d", g.Len(), len(table))
-	}
-	ids := make([]uint32, len(table))
-	for i, s := range table {
-		if s == nil {
-			return nil, fmt.Errorf("fitness: nil strategy at index %d", i)
-		}
-		id, err := cache.Interner().Intern(s)
-		if err != nil {
-			return nil, fmt.Errorf("fitness: interning strategy %d: %w", i, err)
-		}
-		ids[i] = id
-	}
-	if g != nil && g.Complete() {
+// newIncrementalMatrix returns a matrix over the interned ID mirror ids
+// that materialises the rows [lo, hi) of graph g.  The caller (NewEvaluator)
+// has validated the range and the graph and keeps ids current.
+func newIncrementalMatrix(cache *PairCache, g topology.Graph, ids []uint32, lo, hi int) *IncrementalMatrix {
+	if g.Complete() {
 		// The complete graph is the well-mixed population; drop it so the
 		// hot loops below stay on the branch-free all-pairs path.
 		g = nil
@@ -97,10 +72,10 @@ func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.S
 		if g != nil {
 			m.pay[r] = make([]float64, g.Degree(lo+r))
 		} else {
-			m.pay[r] = make([]float64, len(table))
+			m.pay[r] = make([]float64, len(ids))
 		}
 	}
-	return m, nil
+	return m
 }
 
 // neighborPos returns the position of j in i's ascending neighbor list, or
@@ -120,15 +95,6 @@ func neighborPos(g topology.Graph, i, j int) int {
 	}
 	return -1
 }
-
-// Len returns the number of SSets tracked.
-func (m *IncrementalMatrix) Len() int { return len(m.ids) }
-
-// Rows returns the half-open range of rows this matrix materialises.
-func (m *IncrementalMatrix) Rows() (lo, hi int) { return m.lo, m.hi }
-
-// GamesPlayed returns the games executed through the underlying cache.
-func (m *IncrementalMatrix) GamesPlayed() int64 { return m.cache.Plays() }
 
 func (m *IncrementalMatrix) buildRow(i int) error {
 	r := i - m.lo
@@ -172,9 +138,6 @@ func (m *IncrementalMatrix) buildRow(i int) error {
 // against every SSet it interacts with), building the row through the cache
 // if it has not been materialised yet.  i must lie in [lo, hi).
 func (m *IncrementalMatrix) Fitness(i int) (float64, error) {
-	if i < m.lo || i >= m.hi {
-		return 0, fmt.Errorf("fitness: row %d outside materialised range [%d,%d)", i, m.lo, m.hi)
-	}
 	if !m.built[i-m.lo] {
 		if err := m.buildRow(i); err != nil {
 			return 0, err
@@ -183,24 +146,14 @@ func (m *IncrementalMatrix) Fitness(i int) (float64, error) {
 	return m.sums[i-m.lo], nil
 }
 
-// Update records that SSet idx now holds strategy s (an adoption or
-// mutation event).  The new strategy is interned once; row idx is
-// invalidated and every other built row that interacts with idx gets a
-// delta update of its column idx, costing one ID-pair cache lookup each —
-// O(S) work well-mixed, O(degree) under a sparse topology, with new game
-// kernels only for pairs never seen before.
-func (m *IncrementalMatrix) Update(idx int, s strategy.Strategy) error {
-	if idx < 0 || idx >= len(m.ids) {
-		return fmt.Errorf("fitness: update index %d outside table of %d strategies", idx, len(m.ids))
-	}
-	if s == nil {
-		return fmt.Errorf("fitness: nil strategy in update")
-	}
-	id, err := m.cache.Interner().Intern(s)
-	if err != nil {
-		return fmt.Errorf("fitness: interning update: %w", err)
-	}
-	m.ids[idx] = id
+// Update records that SSet idx changed strategy; the owning Evaluator has
+// already written its new ID into the mirror.  Row idx is invalidated and
+// every other built row that interacts with idx gets a delta update of its
+// column idx, costing one ID-pair cache lookup each — O(S) work
+// well-mixed, O(degree) under a sparse topology, with new game kernels only
+// for pairs never seen before.
+func (m *IncrementalMatrix) Update(idx int) error {
+	id := m.ids[idx]
 	if m.graph != nil {
 		// Only idx's neighbors interact with it: walk the neighbor list
 		// (ascending, like the row scan below) instead of scanning and

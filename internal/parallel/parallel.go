@@ -5,10 +5,10 @@
 // Rank 0 is the Nature Agent; every other rank owns a contiguous block of
 // Strategy Sets.  Within one generation each SSet rank plays the Iterated
 // Prisoner's Dilemma games of its local SSets against the strategies of
-// every other SSet in the population, fanning the games across worker
-// goroutines (the "OpenMP thread" tier of the paper's hybrid model).  The
-// Nature Agent then drives the population dynamics: it broadcasts the pair
-// of SSets selected for pairwise-comparison learning, the owning ranks
+// every other SSet in the population, fanning full-replay games across
+// worker goroutines (the "OpenMP thread" tier of the paper's hybrid model).
+// The Nature Agent then drives the population dynamics: it broadcasts the
+// pair of SSets selected for pairwise-comparison learning, the owning ranks
 // return their relative fitness with point-to-point messages, and the Nature
 // Agent broadcasts the resulting strategy-table update together with any
 // mutation (Figure 1(b) of the paper).
@@ -111,9 +111,11 @@ type Config struct {
 	// Ranks is the total number of ranks including the Nature Agent at rank
 	// 0; it must be at least 2.
 	Ranks int
-	// WorkersPerRank bounds the worker goroutines each SSet rank uses for
-	// game play.  Zero selects GOMAXPROCS (the default resolves in
-	// sset.FitnessOptions.Workers); negative values are rejected.
+	// WorkersPerRank bounds the worker goroutines each SSet rank fans its
+	// full-path game play across; the cached modes evaluate through the
+	// rank's fitness.Evaluator on the rank's own goroutine.  Zero selects
+	// GOMAXPROCS (the default resolves in sset.FitnessOptions.Workers);
+	// negative values are rejected.
 	WorkersPerRank int
 
 	// NumSSets, AgentsPerSSet, MemorySteps, Rounds and Noise describe the
@@ -784,73 +786,41 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	games := int64(0)
 	fit := make([]float64, hi-lo)
 
-	// The cached evaluation modes route all game play through a rank-local
-	// pair cache so each distinct strategy pair is played at most once per
-	// rank; the incremental mode additionally maintains this rank's block of
-	// rows of the fitness matrix, kept coherent by applying the Nature
-	// Agent's broadcast strategy-table updates as row/column invalidations.
-	// Noisy or mixed populations fall back to the full evaluation path so
-	// the trajectory is bit-identical to EvalFull.
-	//
-	// In EvalCached mode the rank also keeps the interned ID of every table
-	// entry (ids), re-interning only on broadcast strategy-table updates, so
-	// the per-generation game loop looks pairs up by ID with no strategy
-	// encoding and no allocations.  EvalIncremental reads the matrix's
-	// maintained row sums instead, and the matrix tracks its own IDs, so
-	// neither the mirror nor the opponent buffers below are built for it.
-	var cache *fitness.PairCache
-	var matrix *fitness.IncrementalMatrix
-	var ids []uint32
-	evalMode := fitness.EffectiveMode(engine, cfg.EvalMode)
-	if evalMode != fitness.EvalFull && fitness.CacheUsable(engine, table) {
-		if cfg.SharedCache != nil {
-			// A rank-local view over the shared store: lookups are served
-			// from (and misses warm) the cross-run table while the rank's
-			// counters stay attributed to this rank's own engine.
-			cache, err = cfg.SharedCache.NewView(engine)
-			if err != nil {
-				return RankReport{}, fmt.Errorf("parallel: rank %d SharedCache: %w", c.Rank(), err)
-			}
-		} else {
-			cache, err = fitness.NewPairCache(engine)
-			if err != nil {
-				return RankReport{}, err
-			}
-		}
-		if evalMode == fitness.EvalIncremental {
-			matrix, err = fitness.NewIncrementalMatrix(cache, graph, table, lo, hi)
-			if err != nil {
-				return RankReport{}, err
-			}
-		} else {
-			ids = make([]uint32, len(table))
-			for i, s := range table {
-				// CacheUsable guarantees every entry is encodable.
-				if ids[i], err = cache.Interner().Intern(s); err != nil {
-					return RankReport{}, fmt.Errorf("parallel: rank %d interning table: %w", c.Rank(), err)
-				}
-			}
+	// The cached evaluation modes evaluate this rank's block of rows through
+	// a fitness.Evaluator, kept coherent by the Nature Agent's broadcast
+	// strategy-table updates.  It is nil on the full path (EvalFull, or a
+	// noisy or mixed population), which replays every game so the
+	// trajectory stays bit-identical to EvalFull.
+	ev, err := fitness.NewEvaluator(engine, cfg.EvalMode, cfg.SharedCache, graph, table, lo, hi)
+	if err != nil {
+		return RankReport{}, fmt.Errorf("parallel: rank %d: %w", c.Rank(), err)
+	}
+
+	// Per-local-SSet opponent buffers for the full path, allocated once and
+	// refilled per generation: the neighbor lists are static, only the
+	// strategies behind them change.
+	var oppStrats [][]strategy.Strategy
+	if ev == nil {
+		oppStrats = make([][]strategy.Strategy, len(locals))
+		for li, s := range locals {
+			oppStrats[li] = make([]strategy.Strategy, graph.Degree(s.ID()))
 		}
 	}
 
-	// Per-local-SSet opponent buffers, allocated once and refilled per
-	// generation: the neighbor lists are static, only the strategies (and
-	// their IDs) behind them change.  The matrix path never walks
-	// opponents, so EvalIncremental skips the buffers entirely.
-	var oppStrats [][]strategy.Strategy
-	var oppIDs [][]uint32
-	if matrix == nil {
-		oppStrats = make([][]strategy.Strategy, len(locals))
-		if cache != nil {
-			oppIDs = make([][]uint32, len(locals))
-		}
-		for li, s := range locals {
-			deg := graph.Degree(s.ID())
-			oppStrats[li] = make([]strategy.Strategy, deg)
-			if cache != nil {
-				oppIDs[li] = make([]uint32, deg)
+	// applyChange installs a broadcast strategy-table update: the rank's
+	// copy of the table, the local SSet if this rank owns the index, and the
+	// evaluator's ID mirror and matrix block.
+	applyChange := func(idx int, s strategy.Strategy) error {
+		table[idx] = s
+		if idx >= lo && idx < hi {
+			if err := locals[idx-lo].SetStrategy(s); err != nil {
+				return err
 			}
 		}
+		if ev != nil {
+			return ev.Update(idx, s)
+		}
+		return nil
 	}
 
 	// Resumed runs continue at the checkpointed absolute generation; the
@@ -881,49 +851,32 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		// cached mode replays only pairs the rank has never seen.
 		if !cfg.SkipFitnessWhenIdle || pcOK {
 			err := rec.TimeErr(trace.PhaseCompute, func() error {
-				if matrix != nil {
-					for li := range locals {
-						f, err := matrix.Fitness(lo + li)
+				for li, s := range locals {
+					if ev != nil {
+						f, err := ev.Fitness(lo + li)
 						if err != nil {
 							return err
 						}
 						fit[li] = f
+						continue
 					}
-					return nil
-				}
-				for li, s := range locals {
 					opponents := oppStrats[li]
-					var selfID uint32
-					var idList []uint32
 					for k := range opponents {
-						j := graph.Neighbor(s.ID(), k)
-						opponents[k] = table[j]
-						if cache != nil {
-							oppIDs[li][k] = ids[j]
-						}
-					}
-					if cache != nil {
-						selfID = ids[s.ID()]
-						idList = oppIDs[li]
+						opponents[k] = table[graph.Neighbor(s.ID(), k)]
 					}
 					var src *rng.Source
 					if cfg.Noise > 0 {
 						src = rng.New(mixSeed(cfg.Seed, start+gen, s.ID()))
 					}
 					f, err := s.Fitness(engine, opponents, sset.FitnessOptions{
-						Workers:     cfg.WorkersPerRank,
-						Source:      src,
-						Cache:       cache,
-						SelfID:      selfID,
-						OpponentIDs: idList,
+						Workers: cfg.WorkersPerRank,
+						Source:  src,
 					})
 					if err != nil {
 						return err
 					}
 					fit[li] = f
-					if cache == nil {
-						games += int64(len(opponents))
-					}
+					games += int64(len(opponents))
 				}
 				return nil
 			})
@@ -965,18 +918,18 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 			return RankReport{}, err
 		}
 		if update.learning {
-			if err := applyTableChange(table, ids, cache, locals, matrix, lo, hi, update.learner, update.learnerStrategy); err != nil {
+			if err := applyChange(update.learner, update.learnerStrategy); err != nil {
 				return RankReport{}, err
 			}
 		}
 		if update.mutation {
-			if err := applyTableChange(table, ids, cache, locals, matrix, lo, hi, update.target, update.targetStrategy); err != nil {
+			if err := applyChange(update.target, update.targetStrategy); err != nil {
 				return RankReport{}, err
 			}
 		}
 	}
 
-	if cache != nil {
+	if cache := ev.Cache(); cache != nil {
 		games = cache.Plays()
 	}
 	rep := RankReport{
@@ -988,35 +941,8 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		CommStats:   c.Stats(),
 	}
 	rep.Metrics.AddEngine(engine.KernelStats())
-	rep.Metrics.AddCache(cache)
+	rep.Metrics.AddCache(ev.Cache())
 	return rep, nil
-}
-
-// applyTableChange installs a broadcast strategy-table update on an SSet
-// rank: the rank's copy of the global table, the interned ID mirror when
-// the rank keeps one (EvalCached; one Intern call per event — the only
-// place that mode touches the codec after setup), the local SSet if this
-// rank owns the changed index, and — in EvalIncremental mode — the rank's
-// block of the fitness matrix, where the change invalidates row idx and
-// delta-updates column idx of every other local row.
-func applyTableChange(table []strategy.Strategy, ids []uint32, cache *fitness.PairCache, locals []*sset.SSet, matrix *fitness.IncrementalMatrix, lo, hi, idx int, s strategy.Strategy) error {
-	table[idx] = s
-	if ids != nil {
-		id, err := cache.Interner().Intern(s)
-		if err != nil {
-			return fmt.Errorf("parallel: interning table update: %w", err)
-		}
-		ids[idx] = id
-	}
-	if idx >= lo && idx < hi {
-		if err := locals[idx-lo].SetStrategy(s); err != nil {
-			return err
-		}
-	}
-	if matrix != nil {
-		return matrix.Update(idx, s)
-	}
-	return nil
 }
 
 // sendFitness returns the relative fitness of a selected SSet to the Nature

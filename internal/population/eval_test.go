@@ -2,10 +2,12 @@ package population
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"evogame/internal/fitness"
 	"evogame/internal/strategy"
+	"evogame/internal/topology"
 )
 
 // runWithEvalMode runs the base scenario under one evaluation mode and
@@ -59,19 +61,91 @@ func TestEvalModesIdenticalDynamics(t *testing.T) {
 	}
 }
 
-func TestEvalModesIdenticalAgainstExactAllPairs(t *testing.T) {
-	// The cached modes must also agree with the explicit all-pairs replay,
-	// not just with the default per-event evaluation.
-	mutate := func(c *Config) {
-		c.NumSSets = 10
-		c.MutationRate = 0.25
-		c.Seed = 31
-		c.FitnessMode = FitnessExactAllPairs
+// exactFitness is the test-only all-pairs oracle: SSet i's payoff against
+// each of its graph neighbors, one engine.Play per game, summed in neighbor
+// order.  It shares no evaluation code with the engine beyond the kernel.
+func exactFitness(t *testing.T, m *Model, i int) float64 {
+	t.Helper()
+	total := 0.0
+	for _, j := range topology.Neighbors(m.graph, i) {
+		res, err := m.engine.Play(m.table.Get(i), m.table.Get(j), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.FitnessA
 	}
-	_, want := runWithEvalMode(t, mutate, fitness.EvalFull, 100)
-	for _, mode := range []fitness.EvalMode{fitness.EvalCached, fitness.EvalIncremental} {
-		_, got := runWithEvalMode(t, mutate, mode, 100)
-		assertSameDynamics(t, mode, want, got)
+	return total
+}
+
+// runAgainstOracle steps a noiseless, pure-strategy model through the given
+// number of generations.  Before each step it peeks at the learning pair the
+// Nature Agent is about to draw (restoring the agent's stream afterwards)
+// and requires fitnessPair to equal the oracle bit for bit.  Fitness
+// evaluation draws no randomness on such a model, so the extra evaluation
+// leaves the trajectory unchanged.  It returns the number of learning
+// events checked.
+func runAgainstOracle(t *testing.T, m *Model, generations int) int {
+	t.Helper()
+	events := 0
+	for g := 0; g < generations; g++ {
+		st := m.nat.ExportState()
+		teacher, learner, ok := m.nat.MaybeSelectPC(m.cfg.NumSSets)
+		if err := m.nat.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			ft, fl, err := m.fitnessPair(teacher, learner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wt, wl := exactFitness(t, m, teacher), exactFitness(t, m, learner)
+			if math.Float64bits(ft) != math.Float64bits(wt) || math.Float64bits(fl) != math.Float64bits(wl) {
+				t.Fatalf("generation %d: fitnessPair(%d, %d) = (%v, %v), oracle (%v, %v)",
+					m.gen, teacher, learner, ft, fl, wt, wl)
+			}
+			events++
+		}
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return events
+}
+
+func TestEvalModesIdenticalAgainstExactAllPairs(t *testing.T) {
+	// The cached modes must agree with the explicit all-pairs oracle at
+	// every learning event, not just with the default per-event evaluation,
+	// on the well-mixed population and on a sparse graph.
+	ring, err := topology.Parse("ring:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []topology.Spec{{}, ring} {
+		mutate := func(c *Config) {
+			c.NumSSets = 10
+			c.MutationRate = 0.25
+			c.Seed = 31
+			c.Topology = topo
+		}
+		_, want := runWithEvalMode(t, mutate, fitness.EvalFull, 100)
+		for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {
+			cfg := baseConfig()
+			cfg.EvalMode = mode
+			mutate(&cfg)
+			m := mustModel(t, cfg)
+			if events := runAgainstOracle(t, m, 100); events == 0 {
+				t.Fatalf("%v/%v: no learning events were checked", topo, mode)
+			}
+			if (m.eval == nil) != (mode == fitness.EvalFull) {
+				t.Fatalf("%v/%v: evaluator built = %v", topo, mode, m.eval != nil)
+			}
+			got := m.Strategies()
+			for i := range want.FinalStrategies {
+				if !want.FinalStrategies[i].Equal(got[i]) {
+					t.Fatalf("%v/%v: final table differs at SSet %d", topo, mode, i)
+				}
+			}
+		}
 	}
 }
 

@@ -22,41 +22,9 @@ import (
 	"evogame/internal/intern"
 	"evogame/internal/nature"
 	"evogame/internal/rng"
-	"evogame/internal/sset"
 	"evogame/internal/strategy"
 	"evogame/internal/topology"
 )
-
-// FitnessMode selects how the engine computes SSet fitness.
-type FitnessMode int
-
-const (
-	// FitnessCachedDistinct exploits the fact that all agents of an SSet
-	// share one deterministic strategy: each distinct strategy pair present
-	// in the population is played once per evaluation and the result is
-	// reused for every SSet holding that strategy.  This is the redundancy
-	// reduction the paper describes in Section IV-A and makes long
-	// validation runs tractable.
-	FitnessCachedDistinct FitnessMode = iota
-	// FitnessExactAllPairs plays every SSet against every other SSet's
-	// strategy explicitly, exactly as the distributed implementation does.
-	// It is O(S^2) games per evaluation and is used by tests to check that
-	// the cached mode is equivalent, and by the scaling benchmarks where the
-	// volume of game play is the point.
-	FitnessExactAllPairs
-)
-
-// String implements fmt.Stringer.
-func (m FitnessMode) String() string {
-	switch m {
-	case FitnessCachedDistinct:
-		return "cached-distinct"
-	case FitnessExactAllPairs:
-		return "exact-all-pairs"
-	default:
-		return fmt.Sprintf("FitnessMode(%d)", int(m))
-	}
-}
 
 // Config describes a population simulation.
 type Config struct {
@@ -95,23 +63,19 @@ type Config struct {
 	Beta         float64
 	// Seed seeds all randomness; runs with the same Config are identical.
 	Seed uint64
-	// Workers bounds the worker goroutines used for game play inside a
-	// fitness evaluation (the thread-level tier).  Zero selects GOMAXPROCS
-	// (the default resolves in sset.FitnessOptions.Workers); negative values
-	// are rejected.
+	// Workers is validated (negative values are rejected) but otherwise
+	// unused: the serial engine plays every game on the calling goroutine.
+	// The field stays only until the benchmark harness, which sets it by
+	// name, can drop it.
 	Workers int
-	// FitnessMode selects cached-distinct or exact-all-pairs evaluation for
-	// the EvalFull mode (the per-event evaluation styles that predate the
-	// shared fitness subsystem).
-	FitnessMode FitnessMode
 	// EvalMode routes fitness evaluation through the shared
 	// internal/fitness subsystem.  The zero value, fitness.EvalFull,
-	// preserves the FitnessMode behaviour above; EvalCached memoizes each
-	// distinct strategy pair across generations, and EvalIncremental
-	// additionally maintains per-SSet fitness sums with row/column
-	// invalidation.  Noisy or mixed populations transparently fall back to
-	// the EvalFull path so that all three modes stay bit-for-bit identical
-	// for a given seed.
+	// evaluates each learning event afresh, playing each distinct strategy
+	// pair once per event; EvalCached memoizes each distinct strategy pair
+	// across generations, and EvalIncremental additionally maintains
+	// per-SSet fitness sums with row/column invalidation.  Noisy or mixed
+	// populations transparently fall back to the EvalFull path so that all
+	// three modes stay bit-for-bit identical for a given seed.
 	EvalMode fitness.EvalMode
 	// StateMode and AccumMode select the kernel optimization levels
 	// (Figure 3); the zero values are the optimized settings
@@ -179,7 +143,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("population: rounds must be positive, got %d", c.Rounds)
 	}
 	if c.Workers < 0 {
-		return fmt.Errorf("population: Workers must be non-negative, got %d (0 selects GOMAXPROCS)", c.Workers)
+		return fmt.Errorf("population: Workers must be non-negative, got %d", c.Workers)
 	}
 	if c.InitialStrategies != nil && len(c.InitialStrategies) != c.NumSSets {
 		return fmt.Errorf("population: %d initial strategies for %d SSets", len(c.InitialStrategies), c.NumSSets)
@@ -241,22 +205,20 @@ type Result struct {
 }
 
 // Model is an in-progress population simulation.  It is not safe for
-// concurrent use; the parallelism lives inside the fitness evaluations.
+// concurrent use, and it plays every game on the calling goroutine.
 type Model struct {
 	cfg    Config
 	engine *game.Engine
 	graph  topology.Graph
 	nat    *nature.Agent
 	table  *nature.Table
-	ssets  []*sset.SSet
 	src    *rng.Source
 	gen    int
 	games  int64
-	// cache and matrix implement the EvalCached / EvalIncremental modes of
-	// the shared fitness subsystem; both are nil when the model runs on the
+	// eval implements the EvalCached / EvalIncremental modes of the shared
+	// fitness subsystem; it is nil when the model runs on the per-event
 	// EvalFull path (including the noise/mixed-strategy bypass).
-	cache  *fitness.PairCache
-	matrix *fitness.IncrementalMatrix
+	eval *fitness.Evaluator
 	// event is the per-event evaluation's reusable working memory.
 	event eventScratch
 }
@@ -326,55 +288,18 @@ func New(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	ssets := make([]*sset.SSet, cfg.NumSSets)
-	for i := range ssets {
-		s, err := sset.New(i, cfg.AgentsPerSSet, table.Get(i))
-		if err != nil {
-			return nil, err
-		}
-		ssets[i] = s
+	eval, err := fitness.NewEvaluator(engine, cfg.EvalMode, cfg.SharedCache, graph, initial, 0, cfg.NumSSets)
+	if err != nil {
+		return nil, fmt.Errorf("population: %w", err)
 	}
-	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, table: table, ssets: ssets, src: gameSrc}
-	evalMode := fitness.EffectiveMode(engine, cfg.EvalMode)
-	if evalMode != fitness.EvalFull && fitness.CacheUsable(engine, initial) {
-		var cache *fitness.PairCache
-		if cfg.SharedCache != nil {
-			// A view over the shared store: lookups are served from (and
-			// misses warm) the cross-run table, while this run's counters and
-			// kernel statistics stay attributed to this run's own engine.
-			cache, err = cfg.SharedCache.NewView(engine)
-			if err != nil {
-				return nil, fmt.Errorf("population: SharedCache: %w", err)
-			}
-		} else {
-			cache, err = fitness.NewPairCache(engine)
-			if err != nil {
-				return nil, err
-			}
-		}
-		m.cache = cache
-		// CacheUsable guarantees every entry is encodable, so binding the
-		// table to the cache's registry cannot fail; from here on fitness
-		// lookups are ID pairs, never strategy encodings.
-		if err := table.Bind(cache.Interner()); err != nil {
+	if eval == nil {
+		// The per-event path keys its distinct-pair cache by interned ID
+		// pair, so the table tracks IDs; the evaluator keeps its own mirror.
+		if err := table.Bind(intern.NewRegistry()); err != nil {
 			return nil, fmt.Errorf("population: %w", err)
 		}
-		if evalMode == fitness.EvalIncremental {
-			mat, err := fitness.NewIncrementalMatrix(cache, graph, initial, 0, cfg.NumSSets)
-			if err != nil {
-				return nil, err
-			}
-			m.matrix = mat
-		}
-	} else {
-		// EvalFull (or the noise/mixed bypass): interning still pays off for
-		// the per-event distinct-pair cache, which fitnessPairID keys by ID
-		// pair instead of fitnessCached's string pair.  A table holding
-		// strategies outside the codec simply stays unbound and the legacy
-		// string-keyed path takes over.
-		_ = table.Bind(intern.NewRegistry())
 	}
-	return m, nil
+	return &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, table: table, src: gameSrc, eval: eval}, nil
 }
 
 // effectiveIdentity resolves the scenario identity strings a Config records
@@ -512,8 +437,8 @@ func (m *Model) Strategies() []strategy.Strategy { return m.table.Snapshot() }
 // cached evaluation modes every game runs through the pair cache, so the
 // count is the cache's play counter (misses plus bypassed games).
 func (m *Model) GamesPlayed() int64 {
-	if m.cache != nil {
-		return m.cache.Plays()
+	if c := m.eval.Cache(); c != nil {
+		return c.Plays()
 	}
 	return m.games
 }
@@ -535,108 +460,18 @@ func (m *Model) FractionOf(s strategy.Strategy) float64 {
 // strategy against the strategies of its topology neighbors (every other
 // SSet in the population for the default well-mixed graph).
 func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
-	if m.matrix != nil {
-		fa, err := m.matrix.Fitness(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.matrix.Fitness(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
+	if m.eval == nil {
+		return m.fitnessPairID(a, b)
 	}
-	if m.cache != nil {
-		fa, err := m.fitnessViaPairCache(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.fitnessViaPairCache(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
+	fa, err := m.eval.Fitness(a)
+	if err != nil {
+		return 0, 0, err
 	}
-	switch m.cfg.FitnessMode {
-	case FitnessExactAllPairs:
-		fa, err := m.fitnessExact(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.fitnessExact(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
-	default:
-		if m.table.Bound() {
-			return m.fitnessPairID(a, b)
-		}
-		cache := make(map[[2]string]float64)
-		fa, err := m.fitnessCached(a, cache)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.fitnessCached(b, cache)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
+	fb, err := m.eval.Fitness(b)
+	if err != nil {
+		return 0, 0, err
 	}
-}
-
-// opponents returns the strategies of SSet i's topology neighbors in
-// ascending index order — for the well-mixed graph, every other SSet,
-// exactly the pre-topology opponent list.
-func (m *Model) opponents(i int) []strategy.Strategy {
-	deg := m.graph.Degree(i)
-	opps := make([]strategy.Strategy, deg)
-	for k := 0; k < deg; k++ {
-		opps[k] = m.table.Get(m.graph.Neighbor(i, k))
-	}
-	return opps
-}
-
-// fitnessViaPairCache sums SSet i's payoff against each of its neighbors
-// through the persistent pair cache (EvalCached): each distinct strategy
-// pair is played at most once per run.  Lookups go by the table's interned
-// IDs one 64-lane block at a time, so steady-state evaluation allocates
-// nothing and never re-encodes a strategy, while misses fill through the
-// bit-sliced batch kernel.
-func (m *Model) fitnessViaPairCache(i int) (float64, error) {
-	my := m.table.ID(i)
-	var (
-		ids [game.BatchLanes]uint32
-		res [game.BatchLanes]game.Result
-	)
-	total := 0.0
-	deg := m.graph.Degree(i)
-	for lo := 0; lo < deg; lo += game.BatchLanes {
-		n := game.BatchLanes
-		if lo+n > deg {
-			n = deg - lo
-		}
-		for k := 0; k < n; k++ {
-			ids[k] = m.table.ID(m.graph.Neighbor(i, lo+k))
-		}
-		if err := m.cache.PlayIDBatch(my, ids[:n], res[:n]); err != nil {
-			return 0, err
-		}
-		for k := 0; k < n; k++ {
-			total += res[k].FitnessA
-		}
-	}
-	return total, nil
-}
-
-// fitnessExact plays SSet i against each neighbor's strategy explicitly.
-func (m *Model) fitnessExact(i int) (float64, error) {
-	opponents := m.opponents(i)
-	m.games += int64(len(opponents))
-	return m.ssets[i].Fitness(m.engine, opponents, sset.FitnessOptions{
-		Workers: m.cfg.Workers,
-		Source:  m.src.Split(),
-	})
+	return fa, fb, nil
 }
 
 // pairKey packs an ordered pair of interned strategy IDs into a map key.
@@ -748,53 +583,15 @@ func (m *Model) sumPayoffs(i int) float64 {
 	return total
 }
 
-// fitnessCached computes the same sum but plays each distinct strategy pair
-// only once, reusing the result across SSets that hold identical strategies.
-// It is the fallback for tables holding strategies outside the codec (which
-// cannot be interned); fitnessPairID is the normal path.
-func (m *Model) fitnessCached(i int, cache map[[2]string]float64) (float64, error) {
-	my := m.table.Get(i)
-	myKey := my.String()
-	total := 0.0
-	deg := m.graph.Degree(i)
-	for k := 0; k < deg; k++ {
-		opp := m.table.Get(m.graph.Neighbor(i, k))
-		key := [2]string{myKey, opp.String()}
-		payoff, ok := cache[key]
-		if !ok {
-			var src *rng.Source
-			if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
-				src = m.src.Split()
-			}
-			res, err := m.engine.Play(my, opp, src)
-			if err != nil {
-				return 0, err
-			}
-			m.games++
-			payoff = res.FitnessA
-			cache[key] = payoff
-			// The reverse pairing gives the opponent's payoff; cache it too
-			// since the partner SSet is usually evaluated next.
-			cache[[2]string{opp.String(), myKey}] = res.FitnessB
-		}
-		total += payoff
-	}
-	return total, nil
-}
-
 // applyStrategyChange installs a new strategy for SSet idx everywhere the
-// engine tracks it: the authoritative table, the SSet itself, and — in
-// EvalIncremental mode — the fitness matrix, which invalidates row idx and
-// delta-updates every other row's column idx.
+// engine tracks it: the authoritative table and, in the cached modes, the
+// evaluator's ID mirror and fitness matrix.
 func (m *Model) applyStrategyChange(idx int, s strategy.Strategy) error {
 	if err := m.table.Set(idx, s); err != nil {
 		return err
 	}
-	if err := m.ssets[idx].SetStrategy(s); err != nil {
-		return err
-	}
-	if m.matrix != nil {
-		return m.matrix.Update(idx, s)
+	if m.eval != nil {
+		return m.eval.Update(idx, s)
 	}
 	return nil
 }
@@ -943,6 +740,6 @@ func (m *Model) Metrics() fitness.Metrics {
 		Mutations:   st.Mutations,
 	}
 	met.AddEngine(m.engine.KernelStats())
-	met.AddCache(m.cache)
+	met.AddCache(m.eval.Cache())
 	return met
 }

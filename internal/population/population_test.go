@@ -228,49 +228,46 @@ func TestNoEventsWhenRatesDisabled(t *testing.T) {
 }
 
 func TestFitnessModesAgreeOnDynamics(t *testing.T) {
-	// With no noise the cached-distinct evaluation must produce exactly the
-	// same fitness values, hence the same adoption decisions and the same
-	// final table, as the exact all-pairs evaluation.
-	run := func(mode FitnessMode) []strategy.Strategy {
-		cfg := baseConfig()
-		cfg.NumSSets = 10
-		cfg.MutationRate = 0.3
-		cfg.FitnessMode = mode
-		cfg.Seed = 7
-		m := mustModel(t, cfg)
-		if _, err := m.Run(context.Background(), 120); err != nil {
-			t.Fatal(err)
-		}
-		return m.Strategies()
+	// With no noise the default per-event evaluation must produce exactly
+	// the fitness values of the exact all-pairs oracle at every learning
+	// event, and checking them must not perturb the trajectory.
+	cfg := baseConfig()
+	cfg.NumSSets = 10
+	cfg.MutationRate = 0.3
+	cfg.Seed = 7
+	observed := mustModel(t, cfg)
+	if events := runAgainstOracle(t, observed, 120); events == 0 {
+		t.Fatal("no learning events were checked")
 	}
-	cached := run(FitnessCachedDistinct)
-	exact := run(FitnessExactAllPairs)
-	for i := range cached {
-		if !cached[i].Equal(exact[i]) {
-			t.Fatalf("fitness modes diverge at SSet %d", i)
+	plain := mustModel(t, cfg)
+	if _, err := plain.Run(context.Background(), 120); err != nil {
+		t.Fatal(err)
+	}
+	want, got := plain.Strategies(), observed.Strategies()
+	for i := range want {
+		if !want[i].Equal(got[i]) {
+			t.Fatalf("oracle-checked run diverges at SSet %d", i)
 		}
 	}
 }
 
 func TestCachedModePlaysFewerGames(t *testing.T) {
+	// Exact all-pairs evaluation plays 2·(S−1) games per learning event;
+	// the per-event distinct-pair cache must play fewer.
 	cfg := baseConfig()
 	cfg.NumSSets = 24
 	cfg.Seed = 3
-	cached := mustModel(t, cfg)
-	if _, err := cached.Run(context.Background(), 40); err != nil {
+	m := mustModel(t, cfg)
+	if _, err := m.Run(context.Background(), 40); err != nil {
 		t.Fatal(err)
 	}
-	cfg.FitnessMode = FitnessExactAllPairs
-	exact := mustModel(t, cfg)
-	if _, err := exact.Run(context.Background(), 40); err != nil {
-		t.Fatal(err)
+	exact := int64(2 * (cfg.NumSSets - 1) * m.NatureStats().PCEvents)
+	if m.GamesPlayed() == 0 || exact == 0 {
+		t.Fatal("expected games to be played")
 	}
-	if cached.GamesPlayed() == 0 || exact.GamesPlayed() == 0 {
-		t.Fatal("expected games to be played in both modes")
-	}
-	if cached.GamesPlayed() >= exact.GamesPlayed() {
-		t.Fatalf("cached mode played %d games, exact mode %d; caching should reduce work",
-			cached.GamesPlayed(), exact.GamesPlayed())
+	if m.GamesPlayed() >= exact {
+		t.Fatalf("cached mode played %d games, exact all-pairs would play %d; caching should reduce work",
+			m.GamesPlayed(), exact)
 	}
 }
 
@@ -330,7 +327,6 @@ func TestRunNegativeGenerations(t *testing.T) {
 func TestRunHonoursContextCancellation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.NumSSets = 64
-	cfg.FitnessMode = FitnessExactAllPairs
 	m := mustModel(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -384,24 +380,6 @@ func BenchmarkStepCachedMemoryOne(b *testing.B) {
 	cfg := baseConfig()
 	cfg.NumSSets = 64
 	cfg.Rounds = 200
-	m, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStepExactMemoryOne(b *testing.B) {
-	cfg := baseConfig()
-	cfg.NumSSets = 64
-	cfg.Rounds = 200
-	cfg.FitnessMode = FitnessExactAllPairs
 	m, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"sync"
 
-	"evogame/internal/fitness"
 	"evogame/internal/game"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
@@ -111,34 +110,23 @@ func (s *SSet) Agents(numOpponents int) []Agent {
 type FitnessOptions struct {
 	// Workers is the number of worker goroutines used to fan out the games
 	// (the thread-level tier).  Zero selects GOMAXPROCS — this is the single
-	// point where that default resolves; the facade and both engines pass
-	// their worker knobs through unchanged.  Negative values are rejected.
+	// point where that default resolves; the facade and the distributed
+	// engine pass their worker knobs through unchanged.  Negative values are
+	// rejected.
 	Workers int
 	// Source provides randomness for noisy or mixed games.  It may be nil
 	// for fully deterministic games.  The source is split per opponent in a
 	// fixed order, so results are independent of the worker count.
 	Source *rng.Source
-	// Cache, when non-nil, routes every game of the batch through the shared
-	// pair cache: distinct noiseless deterministic pairs are played at most
-	// once per cache lifetime, while non-cacheable games bypass the cache
-	// transparently.  The cache is safe for the worker fan-out.
-	Cache *fitness.PairCache
-	// SelfID and OpponentIDs, when OpponentIDs is non-nil, carry the
-	// interned IDs (from Cache.Interner()) of the SSet's strategy and of
-	// each opponent, letting the batch go through the cache's allocation-free
-	// ID-pair path instead of re-encoding strategies per game.  OpponentIDs
-	// must align with the opponents slice; callers only set it when the
-	// whole-run cache-validity gate (fitness.CacheUsable) holds.
-	SelfID      uint32
-	OpponentIDs []uint32
 }
 
 // sumRange plays the SSet's strategy against opponents[lo:hi) in index
-// order and returns the summed focal payoff.  Games go through the engine's
-// bit-sliced batch kernel (or the cache's batched ID path) one
-// game.BatchLanes-sized block at a time; the result buffers live on the
-// stack, so the steady state allocates nothing.
-func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts FitnessOptions, perGame []*rng.Source, lo, hi int) (float64, error) {
+// order through the engine's bit-sliced batch kernel, one
+// game.BatchLanes-sized block at a time, and returns the summed focal
+// payoff.  When pay is non-nil it also stores each game's focal payoff at
+// pay[i].  The result buffers live on the stack, so the steady state
+// allocates nothing.
+func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, perGame []*rng.Source, lo, hi int, pay []float64) (float64, error) {
 	var (
 		players [game.BatchLanes]game.Player
 		srcs    [game.BatchLanes]*rng.Source
@@ -146,53 +134,29 @@ func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts Fi
 	)
 	total := 0.0
 	for c0 := lo; c0 < hi; c0 += game.BatchLanes {
-		c1 := c0 + game.BatchLanes
-		if c1 > hi {
-			c1 = hi
-		}
+		c1 := min(c0+game.BatchLanes, hi)
 		n := c1 - c0
-		for i := c0; i < c1; i++ {
-			if opponents[i] == nil {
-				return 0, fmt.Errorf("sset: nil opponent strategy at index %d", i)
+		for k := 0; k < n; k++ {
+			if opponents[c0+k] == nil {
+				return 0, fmt.Errorf("sset: nil opponent strategy at index %d", c0+k)
+			}
+			players[k] = opponents[c0+k]
+			if perGame != nil {
+				srcs[k] = perGame[c0+k]
 			}
 		}
-		switch {
-		case opts.Cache != nil && opts.OpponentIDs != nil:
-			// The allocation-free interned-ID path; misses fill in batches.
-			if err := opts.Cache.PlayIDBatch(opts.SelfID, opts.OpponentIDs[c0:c1], results[:n]); err != nil {
-				return 0, fmt.Errorf("sset %d vs opponents [%d,%d): %w", s.id, c0, c1, err)
-			}
-		case opts.Cache != nil:
-			// Strategy-keyed cache routing stays per game: it re-interns each
-			// pair anyway, so there is no batch to exploit.
-			for i := c0; i < c1; i++ {
-				var src *rng.Source
-				if perGame != nil {
-					src = perGame[i]
-				}
-				res, err := opts.Cache.Play(s.strat, opponents[i], src)
-				if err != nil {
-					return 0, fmt.Errorf("sset %d vs opponent %d: %w", s.id, i, err)
-				}
-				results[i-c0] = res
-			}
-		default:
-			for k := 0; k < n; k++ {
-				players[k] = opponents[c0+k]
-				if perGame != nil {
-					srcs[k] = perGame[c0+k]
-				}
-			}
-			var chunkSrcs []*rng.Source
-			if perGame != nil {
-				chunkSrcs = srcs[:n]
-			}
-			if err := eng.PlayBatch(s.strat, players[:n], chunkSrcs, results[:n]); err != nil {
-				return 0, fmt.Errorf("sset %d vs opponents [%d,%d): %w", s.id, c0, c1, err)
-			}
+		var chunkSrcs []*rng.Source
+		if perGame != nil {
+			chunkSrcs = srcs[:n]
+		}
+		if err := eng.PlayBatch(s.strat, players[:n], chunkSrcs, results[:n]); err != nil {
+			return 0, fmt.Errorf("sset %d vs opponents [%d,%d): %w", s.id, c0, c1, err)
 		}
 		for k := 0; k < n; k++ {
 			total += results[k].FitnessA
+			if pay != nil {
+				pay[c0+k] = results[k].FitnessA
+			}
 		}
 	}
 	return total, nil
@@ -201,8 +165,10 @@ func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts Fi
 // Fitness plays the SSet's strategy against every opponent strategy and
 // returns the summed focal payoff — the "relative fitness" the Nature Agent
 // compares during pairwise learning.  Games are distributed across worker
-// goroutines; the result is deterministic for a given Source seed regardless
-// of Workers.
+// goroutines, but the per-opponent payoffs are always summed in opponent
+// order, so the result is bit-identical for a given Source seed whatever
+// Workers is (float64 addition is not associative, so summing per-worker
+// partials would not be).
 func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts FitnessOptions) (float64, error) {
 	if eng == nil {
 		return 0, fmt.Errorf("sset: nil engine")
@@ -219,14 +185,6 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 	}
 	if len(opponents) == 0 {
 		return 0, nil
-	}
-	if opts.OpponentIDs != nil {
-		if opts.Cache == nil {
-			return 0, fmt.Errorf("sset: OpponentIDs require a Cache")
-		}
-		if len(opts.OpponentIDs) != len(opponents) {
-			return 0, fmt.Errorf("sset: %d opponent IDs for %d opponents", len(opts.OpponentIDs), len(opponents))
-		}
 	}
 
 	// Pre-derive one source per opponent so that the schedule (which worker
@@ -252,30 +210,31 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 	}
 
 	if workers == 1 {
-		return s.sumRange(eng, opponents, opts, perGame, 0, len(opponents))
+		return s.sumRange(eng, opponents, perGame, 0, len(opponents), nil)
 	}
 
-	agents := PartitionOpponents(len(opponents), workers)
-	partial := make([]float64, workers)
+	pay := make([]float64, len(opponents))
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w, agent := range agents {
+	for w, agent := range PartitionOpponents(len(opponents), workers) {
 		if agent.Games() == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func(w int, agent Agent) {
 			defer wg.Done()
-			partial[w], errs[w] = s.sumRange(eng, opponents, opts, perGame, agent.Lo, agent.Hi)
+			_, errs[w] = s.sumRange(eng, opponents, perGame, agent.Lo, agent.Hi, pay)
 		}(w, agent)
 	}
 	wg.Wait()
-	total := 0.0
-	for w := range partial {
-		if errs[w] != nil {
-			return 0, errs[w]
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
 		}
-		total += partial[w]
+	}
+	total := 0.0
+	for _, p := range pay {
+		total += p
 	}
 	return total, nil
 }

@@ -1,6 +1,7 @@
 package sset
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,42 @@ func TestFitnessWorkerCountDoesNotChangeResult(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("workers=%d fitness %v differs from serial %v", workers, got, want)
+		}
+	}
+}
+
+// TestFitnessBitsIndependentOfWorkers pins the determinism contract for
+// payoffs that are not exact binary fractions: float64 addition is not
+// associative, so the result is only worker-independent if the per-opponent
+// payoffs are summed in opponent order whatever the partition.
+func TestFitnessBitsIndependentOfWorkers(t *testing.T) {
+	eng, err := game.NewEngine(game.EngineConfig{
+		Rounds:      50,
+		MemorySteps: 2,
+		Payoff:      game.Matrix{Reward: 3.1, Sucker: 0.3, Temptation: 5.7, Punishment: 1.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(5)
+	for trial := 0; trial < 10; trial++ {
+		opponents := make([]strategy.Strategy, 127)
+		for i := range opponents {
+			opponents[i] = strategy.RandomPure(2, src)
+		}
+		s, _ := New(0, 4, strategy.RandomPure(2, src))
+		var want float64
+		for _, workers := range []int{1, 2, 3, 4} {
+			got, err := s.Fitness(eng, opponents, FitnessOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				want = got
+			} else if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: workers=%d fitness %v (bits %#x), workers=1 %v (bits %#x)",
+					trial, workers, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }
