@@ -1,10 +1,11 @@
 package evogame
 
-// This file is the benchmark harness of deliverable (d): one benchmark per
-// table and figure of the paper's evaluation section.  Workloads are scaled
-// down so the full suite completes in minutes on a laptop; the benchtables
-// command prints the corresponding rows/series, and EXPERIMENTS.md maps each
-// benchmark to the paper's numbers.
+// This file times single layers: one benchmark per table and figure of the
+// paper's evaluation section.  Workloads are scaled down so the full suite
+// completes in minutes on a laptop.  The rows and series themselves are
+// printed by cmd/benchtables (tables, Figures 4-6) and regenerated by
+// cmd/paperkit (the figure grids); end-to-end performance is measured by
+// the perfbench module.
 
 import (
 	"context"

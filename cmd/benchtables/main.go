@@ -1,22 +1,27 @@
-// Command benchtables regenerates every table and figure of the paper's
-// evaluation section (Randles et al., IPDPS 2013).  Each experiment prints
-// the same rows or series the paper reports: the strategy-space tables
-// (Tables I-V), the SSet-per-processor ratio table (Table VI), the WSLS
-// validation (Figure 2), the optimization-level ablation (Figure 3), strong
-// scaling versus population size (Figure 4), the memory-step runtime
-// breakdown (Figure 5), and the weak/strong scaling studies (Figure 6a/6b).
+// Command benchtables prints the paper's evaluation tables and the figures
+// no other front-end regenerates (Randles et al., IPDPS 2013): the
+// strategy-space tables (Tables I-V), the SSet-per-processor ratio table
+// (Table VI), the memory-capacity check, the scenario and topology
+// registries, strong scaling versus population size (Figure 4), the
+// memory-step runtime breakdown (Figure 5), and the weak/strong scaling
+// studies (Figure 6a/6b).
 //
 // Experiments that the paper ran on hundreds of thousands of Blue Gene
 // cores are reproduced at two levels: a real run of the distributed engine
 // on goroutine ranks (small scale), and the analytic performance model
-// extrapolated to the paper's processor counts.  EXPERIMENTS.md records the
-// paper-versus-measured comparison for each one.
+// extrapolated to the paper's processor counts.
+//
+// The other figures have their own homes: the Figure 2 WSLS study is
+// examples/wsls_emergence and the paperkit artifact wsls_emergence, the
+// Figure 3 optimization-level ablation is the paperkit artifact
+// figure3_ablation (equivalence) and BenchmarkFig3OptimizationLevels
+// (timing), and performance is measured by the perfbench module.
 //
 // Usage:
 //
 //	benchtables -all            # every table and figure (quick settings)
-//	benchtables -table 4        # a single table (1,2,3,4,5,6,capacity)
-//	benchtables -fig 6a         # a single figure (2,3,4,5,6a,6b)
+//	benchtables -table 4        # a single table (1-6, capacity, scenarios, topology)
+//	benchtables -fig 6a         # a single figure (4, 5, 6a, 6b)
 //	benchtables -full           # larger real runs (slower, closer to paper)
 //	benchtables -calibrate      # measure the game kernel before modelling
 package main
@@ -27,12 +32,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"evogame"
 
 	"evogame/internal/game"
-	"evogame/internal/parallel"
 	"evogame/internal/stats"
 	"evogame/internal/strategy"
 )
@@ -43,28 +46,22 @@ type options struct {
 	all       bool
 	full      bool
 	calibrate bool
-	jsonOut   bool
 	seed      uint64
 }
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.table, "table", "", "regenerate one table: 1, 2, 3, 4, 5, 6, capacity, scenarios, eval, topology, kernel, batch, ensemble, artifact, faults")
-	flag.StringVar(&opts.fig, "fig", "", "regenerate one figure: 2, 3, 4, 5, 6a, 6b")
+	flag.StringVar(&opts.table, "table", "", "regenerate one table: 1, 2, 3, 4, 5, 6, capacity, scenarios, topology")
+	flag.StringVar(&opts.fig, "fig", "", "regenerate one figure: 4, 5, 6a, 6b")
 	flag.BoolVar(&opts.all, "all", false, "regenerate every table and figure")
 	flag.BoolVar(&opts.full, "full", false, "use larger real runs (slower)")
 	flag.BoolVar(&opts.calibrate, "calibrate", false, "measure the game kernel cost before running the performance model")
-	flag.BoolVar(&opts.jsonOut, "json", false, "emit machine-readable JSON instead of a table (supported for -table kernel, batch, ensemble, artifact and faults; BENCH_5.json, BENCH_6.json, BENCH_7.json, BENCH_8.json and BENCH_9.json are their committed baselines)")
 	seed := flag.Uint64("seed", 2013, "experiment seed")
 	flag.Parse()
 	opts.seed = *seed
 
 	if !opts.all && opts.table == "" && opts.fig == "" {
 		opts.all = true
-	}
-	if opts.jsonOut && opts.table != "kernel" && opts.table != "batch" && opts.table != "ensemble" && opts.table != "artifact" && opts.table != "faults" {
-		fmt.Fprintln(os.Stderr, "benchtables: -json is supported for -table kernel, batch, ensemble, artifact and faults only")
-		os.Exit(1)
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
@@ -88,14 +85,6 @@ func run(opts options) error {
 		{"table capacity", tableCapacity},
 		{"table scenarios", func() error { return tableScenarios(opts) }},
 		{"table topology", func() error { return tableTopology(opts) }},
-		{"table kernel", func() error { return tableKernel(opts) }},
-		{"table batch", func() error { return tableBatch(opts) }},
-		{"table ensemble", func() error { return tableEnsemble(opts) }},
-		{"table artifact", func() error { return tableArtifact(opts) }},
-		{"table faults", func() error { return tableFaults(opts) }},
-		{"fig 2", func() error { return figure2(opts) }},
-		{"fig 3", func() error { return figure3(opts) }},
-		{"table eval", func() error { return evalModes(opts) }},
 		{"fig 4", func() error { return figure4(opts, scaling) }},
 		{"fig 5", func() error { return figure5(opts, scaling) }},
 		{"fig 6a", func() error { return figure6a(opts, scaling) }},
@@ -346,138 +335,6 @@ func tableTopology(opts options) error {
 	fmt.Print(t.String())
 	fmt.Println("note: a sparse topology makes the full evaluation O(S*k) games by construction,")
 	fmt.Println("orthogonal to (and composable with) the cached/incremental eval modes")
-	return nil
-}
-
-// figure2 runs the scaled-down WSLS validation (Figure 2).
-func figure2(opts options) error {
-	header("Figure 2 — validation: emergence of Win-Stay Lose-Shift (scaled-down run)")
-	ssets, gens := 128, 60000
-	if opts.full {
-		ssets, gens = 256, 300000
-	}
-	cfg := evogame.SimulationConfig{
-		NumSSets:      ssets,
-		AgentsPerSSet: 4,
-		MemorySteps:   1,
-		Rounds:        evogame.DefaultRounds,
-		Noise:         0.05,
-		PCRate:        1,
-		MutationRate:  0.05,
-		Beta:          1,
-		Generations:   gens,
-		Seed:          opts.seed,
-		SampleEvery:   gens / 10,
-	}
-	start := time.Now()
-	res, err := evogame.Simulate(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("population: %d SSets x %d agents, memory-one, %d generations (%.1fs)\n",
-		cfg.NumSSets, cfg.AgentsPerSSet, res.Generations, time.Since(start).Seconds())
-	t := stats.NewTable("Generation", "Distinct", "Top strategy", "Top fraction", "WSLS fraction", "ALLD fraction")
-	for _, s := range res.Samples {
-		t.AddRow(s.Generation, s.DistinctStrategies, s.TopStrategy, s.TopFraction, s.WSLSFraction, s.AllDFraction)
-	}
-	fmt.Print(t.String())
-
-	clusters, err := evogame.ClusterStrategies(res.FinalStrategies, 4, opts.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println("k-means clusters of the final population (Lloyd, k=4):")
-	ct := stats.NewTable("Cluster", "Size", "Fraction", "Representative strategy")
-	for i, c := range clusters {
-		ct.AddRow(i, c.Size, c.Fraction, c.Representative)
-	}
-	fmt.Print(ct.String())
-	fmt.Printf("paper reports 85%% of SSets adopting WSLS after 10^7 generations; measured WSLS fraction: %.0f%%\n",
-		100*res.WSLSFraction())
-	return nil
-}
-
-// figure3 runs the optimization-level ablation (Figure 3).
-func figure3(opts options) error {
-	header("Figure 3 — optimization levels (real distributed runs, goroutine ranks)")
-	ssets, ranks, gens := 64, 5, 20
-	if opts.full {
-		ssets, ranks, gens = 256, 9, 40
-	}
-	fmt.Printf("workload: %d SSets, memory-one, %d generations, %d ranks, 200 rounds/game\n", ssets, gens, ranks)
-	t := stats.NewTable("Optimization level", "Wallclock (s)", "Mean rank compute (s)", "Mean rank comm (s)")
-	for lvl := 0; lvl <= 3; lvl++ {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks:             ranks,
-			NumSSets:          ssets,
-			AgentsPerSSet:     4,
-			MemorySteps:       1,
-			Rounds:            evogame.DefaultRounds,
-			PCRate:            0.1,
-			MutationRate:      0.05,
-			Generations:       gens,
-			Seed:              opts.seed,
-			OptimizationLevel: lvl,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(parallel.OptLevel(lvl).String(), res.WallClockSeconds, res.ComputeSeconds, res.CommSeconds)
-	}
-	fmt.Print(t.String())
-	fmt.Println("paper: each cumulative optimization reduces wallclock; comm stays a small share")
-	return nil
-}
-
-// evalModes reports the shared incremental-fitness subsystem's speedup
-// alongside the Figure 3 optimization levels: the same distributed workload
-// is repeated under full replay, pair-cached and incremental fitness
-// evaluation at S in {32, 128, 512} SSets.  All modes produce identical
-// dynamics for a given seed; only the number of games actually played (and
-// therefore the wallclock) changes.
-func evalModes(opts options) error {
-	header("Eval modes — incremental fitness vs. full replay (real distributed runs)")
-	gens := 10
-	if opts.full {
-		gens = 40
-	}
-	fmt.Printf("workload: memory-one, %d generations, 5 ranks, opt level 3, 200 rounds/game\n", gens)
-	t := stats.NewTable("SSets", "Eval mode", "Wallclock (s)", "Games/gen", "Speedup")
-	for _, ssets := range []int{32, 128, 512} {
-		var baseWall float64
-		for _, mode := range []evogame.EvalMode{evogame.EvalFull, evogame.EvalCached, evogame.EvalIncremental} {
-			res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-				Ranks:             5,
-				NumSSets:          ssets,
-				AgentsPerSSet:     4,
-				MemorySteps:       1,
-				Rounds:            evogame.DefaultRounds,
-				PCRate:            0.1,
-				MutationRate:      0.05,
-				Generations:       gens,
-				Seed:              opts.seed,
-				OptimizationLevel: 3,
-				EvalMode:          mode,
-			})
-			if err != nil {
-				return err
-			}
-			if mode == evogame.EvalFull {
-				baseWall = res.WallClockSeconds
-			}
-			speedup := "1.00x"
-			if res.WallClockSeconds > 0 && mode != evogame.EvalFull {
-				speedup = fmt.Sprintf("%.2fx", baseWall/res.WallClockSeconds)
-			}
-			t.AddRow(ssets, mode.String(),
-				fmt.Sprintf("%.3f", res.WallClockSeconds),
-				fmt.Sprintf("%.1f", float64(res.TotalGames)/float64(gens)),
-				speedup)
-		}
-	}
-	fmt.Print(t.String())
-	fmt.Println("note: noiseless deterministic games are pure functions of the strategy pair;")
-	fmt.Println("incremental evaluation replays only pairs never seen before")
 	return nil
 }
 

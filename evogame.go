@@ -359,8 +359,10 @@ type SimulationResult struct {
 type Metrics struct {
 	// Generations is the number of generations the counters cover.
 	Generations int
-	// CachePlays, CacheHits, CacheMisses, CacheBypassed and CacheEvicted
-	// describe persistent pair-cache traffic; all zero when no cache ran.
+	// CachePlays, CacheHits, CacheMisses and CacheEvicted describe
+	// persistent pair-cache traffic; all zero when no cache ran.
+	// CacheBypassed always reads 0 (see fitness.Metrics) and stays only
+	// until the benchmark harness, which reads it by name, can drop it.
 	CachePlays    int64
 	CacheHits     int64
 	CacheMisses   int64

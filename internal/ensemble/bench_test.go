@@ -15,8 +15,8 @@ import (
 // benchBase builds the benchmark workload: a small noiseless cached
 // configuration with a fixed initial strategy table, so replicates overlap
 // on the warm-up pairs and the shared/private gap is the cross-run sharing
-// itself (the same shape as `benchtables -table ensemble`, scaled down to
-// benchmark size).
+// itself (the same shape as the frozen BENCH_7.json ensemble table, whose
+// generator was removed, scaled down to benchmark size).
 func benchBase(b *testing.B) population.Config {
 	b.Helper()
 	const ssets, memSteps = 32, 2

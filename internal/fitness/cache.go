@@ -8,7 +8,6 @@ import (
 
 	"evogame/internal/game"
 	"evogame/internal/intern"
-	"evogame/internal/rng"
 	"evogame/internal/strategy"
 )
 
@@ -146,7 +145,7 @@ func (st *pairStore) compatible(eng *game.Engine) error {
 //
 // A PairCache is a view: the result table and registry live in a pairStore
 // that additional views may share (see NewView), while the engine used to
-// play misses and the hit/miss/bypass counters are per view.  A solo run
+// play misses and the hit/miss/eviction counters are per view.  A solo run
 // owns a private store; ensemble replicates each hold their own view over
 // one shared store, so kernel statistics and cache counters stay attributed
 // to the run that incurred them while results warmed by any replicate serve
@@ -155,10 +154,9 @@ type PairCache struct {
 	eng   *game.Engine
 	store *pairStore
 
-	hits     atomic.Int64
-	misses   atomic.Int64
-	bypassed atomic.Int64
-	evicted  atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	evicted atomic.Int64
 }
 
 // NewPairCache returns an empty cache bound to the given engine, with a
@@ -258,13 +256,6 @@ func EffectiveMode(eng *game.Engine, mode EvalMode) EvalMode {
 		return EvalCached
 	}
 	return mode
-}
-
-// Cacheable reports whether a game between a and b is a pure function of
-// the pair and may therefore be memoized: the engine must be noiseless and
-// both strategies deterministic.
-func (c *PairCache) Cacheable(a, b strategy.Strategy) bool {
-	return c.eng.Noise() == 0 && a.Deterministic() && b.Deterministic()
 }
 
 // swap returns the result seen from the opposite side of the board.
@@ -411,41 +402,10 @@ func (c *PairCache) PlayIDBatch(a uint32, bs []uint32, out []game.Result) error 
 	return nil
 }
 
-// Play returns the result of a game between focal strategy a and opponent
-// b.  Cacheable pairs (see Cacheable) are interned and served through
-// PlayID; non-cacheable pairs — the noise > 0 or mixed strategy bypass —
-// are played fresh every call with the supplied source, exactly as the
-// engine would without the cache, touching no locks beyond the atomic play
-// counter.  Engines that track IDs themselves should prefer PlayID, which
-// skips the per-call interning.
-func (c *PairCache) Play(a, b strategy.Strategy, src *rng.Source) (game.Result, error) {
-	if !c.Cacheable(a, b) {
-		return c.playBypass(a, b, src)
-	}
-	ida, errA := c.store.reg.Intern(a)
-	idb, errB := c.store.reg.Intern(b)
-	if errA != nil || errB != nil {
-		// Unknown strategy implementation: play without memoizing.
-		return c.playBypass(a, b, src)
-	}
-	return c.PlayID(ida, idb)
-}
-
-// playBypass plays a game the cache must not memoize, counting it without
-// taking any lock.
-func (c *PairCache) playBypass(a, b strategy.Strategy, src *rng.Source) (game.Result, error) {
-	res, err := c.eng.Play(a, b, src)
-	if err != nil {
-		return game.Result{}, err
-	}
-	c.bypassed.Add(1)
-	return res, nil
-}
-
 // Plays returns the number of games actually executed by the engine through
-// this cache (cache misses plus bypassed games).  This is the quantity the
-// engines report as "games played".
-func (c *PairCache) Plays() int64 { return c.misses.Load() + c.bypassed.Load() }
+// this cache: the misses.  This is the quantity the engines report as "games
+// played".
+func (c *PairCache) Plays() int64 { return c.misses.Load() }
 
 // Hits returns the number of lookups served from memory.
 func (c *PairCache) Hits() int64 { return c.hits.Load() }
@@ -453,10 +413,6 @@ func (c *PairCache) Hits() int64 { return c.hits.Load() }
 // Misses returns the number of cacheable lookups that executed the game
 // kernel and stored its result.
 func (c *PairCache) Misses() int64 { return c.misses.Load() }
-
-// Bypassed returns the number of non-cacheable games (noise, mixed or
-// non-codec strategies) played through the cache without being memoized.
-func (c *PairCache) Bypassed() int64 { return c.bypassed.Load() }
 
 // Evicted returns the number of memoized entries this view dropped by
 // bounded eviction after a shard reached its memory budget.

@@ -11,7 +11,7 @@
 // strategy per generation.  The package provides three layers on top of the
 // game kernel:
 //
-//   - PairCache memoizes game.Result per canonical strategy-pair encoding,
+//   - PairCache memoizes game.Result per interned strategy pair (PlayID),
 //     so each distinct pair is played at most once for the lifetime of the
 //     cache.  Storing a result also stores the mirrored result for the
 //     reversed pair, since the opponent's fitness is usually requested next.
@@ -37,12 +37,12 @@
 //   - the engine is noiseless (game.Engine.Noise() == 0), and
 //   - both strategies are deterministic (pure, not mixed).
 //
-// When either condition fails, PairCache.Play transparently bypasses the
-// cache and plays the game with the supplied randomness source, so callers
-// need no mode checks of their own.  NewEvaluator returns nil for noisy or
-// mixed populations, so the engines fall back to their full evaluation
-// paths and the random-number streams — and therefore the trajectories —
-// are bit-for-bit identical to EvalFull.
+// NewEvaluator checks both once per run (see CacheUsable) and returns nil
+// for noisy or mixed populations, so the engines fall back to their full
+// evaluation paths and the random-number streams — and therefore the
+// trajectories — are bit-for-bit identical to EvalFull.  PairCache plays
+// its misses without a randomness source, so it is reached only through an
+// Evaluator that passed this check.
 //
 // The delta update of IncrementalMatrix subtracts and re-adds float64 pair
 // payoffs.  With the standard Prisoner's Dilemma payoff matrix (and any

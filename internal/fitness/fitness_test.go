@@ -25,6 +25,25 @@ func newEngine(t testing.TB, noise float64) *game.Engine {
 	return eng
 }
 
+// playPair interns a and b through the cache's registry and plays them with
+// PlayID, the entry point the Evaluator uses.
+func playPair(t testing.TB, cache *PairCache, a, b strategy.Strategy) game.Result {
+	t.Helper()
+	ida, err := cache.Interner().Intern(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idb, err := cache.Interner().Intern(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cache.PlayID(ida, idb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestEvalModeStringAndParse(t *testing.T) {
 	for _, tc := range []struct {
 		mode EvalMode
@@ -59,26 +78,17 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	}
 	tft, alld := strategy.TFT(1), strategy.AllD(1)
 
-	first, err := cache.Play(tft, alld, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := playPair(t, cache, tft, alld)
 	if cache.Plays() != 1 || cache.Hits() != 0 {
 		t.Fatalf("after first play: plays=%d hits=%d", cache.Plays(), cache.Hits())
 	}
 	// Same ordered pair: a hit with the identical result.
-	again, err := cache.Play(tft, alld, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := playPair(t, cache, tft, alld)
 	if again != first {
 		t.Fatalf("cached result differs: %+v vs %+v", again, first)
 	}
 	// Reversed pair: also a hit, with the mirrored result.
-	rev, err := cache.Play(alld, tft, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rev := playPair(t, cache, alld, tft)
 	if rev.FitnessA != first.FitnessB || rev.FitnessB != first.FitnessA ||
 		rev.CooperationsA != first.CooperationsB || rev.Rounds != first.Rounds {
 		t.Fatalf("mirrored result wrong: %+v vs %+v", rev, first)
@@ -95,9 +105,7 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Play(tft2, alld, nil); err != nil {
-		t.Fatal(err)
-	}
+	playPair(t, cache, tft2, alld)
 	if cache.Plays() != 1 {
 		t.Fatal("equal move tables should share one cache entry")
 	}
@@ -116,10 +124,7 @@ func TestPairCacheMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cache.Play(a, b, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := playPair(t, cache, a, b)
 			if got != want {
 				t.Fatalf("%s vs %s: cache %+v, engine %+v", a, b, got, want)
 			}
@@ -127,49 +132,6 @@ func TestPairCacheMatchesEngine(t *testing.T) {
 	}
 	if cache.Hits() == 0 {
 		t.Fatal("mirrored storage should produce hits during an all-pairs sweep")
-	}
-}
-
-func TestPairCacheBypassesNoise(t *testing.T) {
-	cache, err := NewPairCache(newEngine(t, 0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tft, alld := strategy.TFT(1), strategy.AllD(1)
-	if cache.Cacheable(tft, alld) {
-		t.Fatal("noisy games must not be cacheable")
-	}
-	src := rng.New(1)
-	for i := 0; i < 3; i++ {
-		if _, err := cache.Play(tft, alld, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Plays() != 3 || cache.Hits() != 0 || cache.Len() != 0 {
-		t.Fatalf("noisy bypass stored state: plays=%d hits=%d len=%d", cache.Plays(), cache.Hits(), cache.Len())
-	}
-}
-
-func TestPairCacheBypassesMixedStrategies(t *testing.T) {
-	cache, err := NewPairCache(newEngine(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gtft, err := strategy.MixedFromProbs(1, []float64{1, 0.3, 1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Cacheable(gtft, strategy.TFT(1)) || cache.Cacheable(strategy.TFT(1), gtft) {
-		t.Fatal("mixed strategies must not be cacheable")
-	}
-	src := rng.New(2)
-	for i := 0; i < 2; i++ {
-		if _, err := cache.Play(gtft, strategy.TFT(1), src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Len() != 0 || cache.Plays() != 2 {
-		t.Fatalf("mixed bypass stored state: plays=%d len=%d", cache.Plays(), cache.Len())
 	}
 }
 
@@ -185,9 +147,20 @@ func TestPairCacheConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, a := range all {
-				for _, b := range all {
-					res, err := cache.Play(a, b, nil)
+			// Every worker interns the table itself, so the registry is
+			// exercised concurrently along with the shards.
+			ids := make([]uint32, len(all))
+			for i, s := range all {
+				id, err := cache.Interner().Intern(s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[i] = id
+			}
+			for _, a := range ids {
+				for _, b := range ids {
+					res, err := cache.PlayID(a, b)
 					if err != nil {
 						t.Error(err)
 						return

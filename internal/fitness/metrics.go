@@ -12,8 +12,11 @@ type Metrics struct {
 	Generations int
 
 	// PairCache counters (zero when the run had no cache, e.g. EvalFull or a
-	// noisy population).  CachePlays = CacheMisses + CacheBypassed is the
-	// number of games the engine actually executed through the cache.
+	// noisy population).  CachePlays = CacheMisses is the number of games
+	// the engine actually executed through the cache.  CacheBypassed always
+	// reads 0, because NewEvaluator routes non-cacheable runs to the
+	// engines' full paths; the field stays only until the benchmark
+	// harness, which reads it by name, can drop it.
 	CachePlays    int64
 	CacheHits     int64
 	CacheMisses   int64
@@ -62,7 +65,6 @@ func (m *Metrics) AddCache(c *PairCache) {
 	m.CachePlays += c.Plays()
 	m.CacheHits += c.Hits()
 	m.CacheMisses += c.Misses()
-	m.CacheBypassed += c.Bypassed()
 	m.CacheEvicted += c.Evicted()
 }
 

@@ -15,7 +15,6 @@ var timingAllowlist = map[string]bool{
 	"internal/perfmodel": true,
 	"internal/ensemble":  true,
 	"internal/supervise": true,
-	"cmd/benchtables":    true,
 }
 
 // bannedRandImports are randomness sources that bypass the deterministic
@@ -32,7 +31,7 @@ var bannedRandImports = map[string]string{
 // randomness flows through internal/rng.Source, which is seeded, splittable
 // and checkpointable.  math/rand (v1 and v2) and crypto/rand imports are
 // errors everywhere; time.Now calls are errors outside the wall-clock
-// allowlist (trace, perfmodel, ensemble, supervise, cmd/benchtables),
+// allowlist (trace, perfmodel, ensemble, supervise),
 // because a time-derived value that leaks into simulation state destroys
 // bit-identical-per-seed replay.
 var RandSource = &Analyzer{

@@ -156,9 +156,14 @@ type message struct {
 // sources, protected by a mutex and condition variable so receivers can wait
 // for a match.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] holds the undelivered messages in arrival order.  Taking
+	// the oldest one advances head instead of copying the queue down, so a
+	// receiver behind an eager sender stays linear in the backlog; put
+	// reclaims the consumed prefix before append would grow the array.
 	queue []message
+	head  int
 	rank  int
 	fab   *fabric
 }
@@ -171,6 +176,11 @@ func newMailbox(rank int, fab *fabric) *mailbox {
 
 func (m *mailbox) put(msg message) {
 	m.mu.Lock()
+	if m.head > 0 && len(m.queue) == cap(m.queue) {
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
 	m.queue = append(m.queue, msg)
 	m.mu.Unlock()
 	m.cond.Broadcast()
@@ -195,9 +205,18 @@ func (m *mailbox) take(src, tag int) (message, error) {
 		defer timer.Stop()
 	}
 	for {
-		for i, msg := range m.queue {
+		for i := m.head; i < len(m.queue); i++ {
+			msg := m.queue[i]
 			if (src < 0 || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				if i == m.head {
+					m.queue[i] = message{}
+					m.head++
+					if m.head == len(m.queue) {
+						m.queue, m.head = m.queue[:0], 0
+					}
+				} else {
+					m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				}
 				return msg, nil
 			}
 		}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"evogame/internal/faults"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -113,6 +115,54 @@ func TestSendRecvOrderingPerPair(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMailboxBacklogKeepsOrder drives one mailbox through a standing
+// backlog with takes from the head and from mid-queue, and with puts that
+// land while the consumed prefix is reclaimed: every (src, tag) stream
+// must still arrive in send order, and the drained mailbox must hold
+// nothing.
+func TestMailboxBacklogKeepsOrder(t *testing.T) {
+	mb := newFabric(3, Options{}).mailboxes[0]
+	type stream struct{ src, tag int }
+	sent := map[stream]int{}
+	got := map[stream]int{}
+	live := map[int]int{} // queued messages per source
+	check := func(msg message, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := stream{msg.src, msg.tag}
+		if want := fmt.Sprint(got[k]); string(msg.data) != want {
+			t.Fatalf("stream %+v: got message %q, want %q", k, msg.data, want)
+		}
+		got[k]++
+		live[msg.src]--
+	}
+	for r := 0; r < 3000; r++ {
+		k := stream{r % 3, r % 2}
+		mb.put(message{src: k.src, tag: k.tag, data: []byte(fmt.Sprint(sent[k]))})
+		sent[k]++
+		live[k.src]++
+		if r%3 == 2 && live[2] > 0 {
+			check(mb.take(2, AnyTag)) // usually behind the head
+		}
+		if r%5 == 4 {
+			check(mb.take(-1, AnyTag)) // always the head
+		}
+	}
+	for live[0]+live[1]+live[2] > 0 {
+		check(mb.take(-1, AnyTag))
+	}
+	for k, n := range sent {
+		if got[k] != n {
+			t.Errorf("stream %+v: received %d of %d messages", k, got[k], n)
+		}
+	}
+	if len(mb.queue) != 0 || mb.head != 0 {
+		t.Fatalf("drained mailbox holds len=%d head=%d", len(mb.queue), mb.head)
 	}
 }
 
@@ -532,27 +582,44 @@ func TestQuickBcastIdentical(t *testing.T) {
 	}
 }
 
+// BenchmarkSendRecvSmall times a 64-byte point-to-point message.  The
+// injector=armed-idle case installs a fault plan whose one crash sits far
+// past any epoch the benchmark reaches, so every send consults the
+// injector's Delay and Drop hooks but nothing ever fires: the difference
+// from injector=nil is the cost of running with fault injection armed.
 func BenchmarkSendRecvSmall(b *testing.B) {
-	b.ReportAllocs()
-	err := Run(2, func(c *Comm) error {
-		payload := make([]byte, 64)
-		if c.Rank() == 0 {
-			for i := 0; i < b.N; i++ {
-				if err := c.Send(1, 1, payload); err != nil {
-					return err
+	for _, bc := range []struct {
+		name string
+		opts func() Options
+	}{
+		{"injector=nil", func() Options { return Options{} }},
+		{"injector=armed-idle", func() Options {
+			return Options{Injector: faults.NewPlan(faults.Event{Kind: faults.Crash, Gen: 1 << 30, Rank: 1})}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			err := RunWithOptions(2, bc.opts(), func(c *Comm) error {
+				payload := make([]byte, 64)
+				if c.Rank() == 0 {
+					for i := 0; i < b.N; i++ {
+						if err := c.Send(1, 1, payload); err != nil {
+							return err
+						}
+					}
+					return nil
 				}
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Recv(0, 1); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			return nil
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Recv(0, 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -508,23 +509,30 @@ func TestQuickBlockDistribution(t *testing.T) {
 	}
 }
 
+// BenchmarkRunGeneration64SSets4Ranks times whole runs at two lengths: the
+// generations=0 case is fabric set-up and initial distribution alone, so
+// (t16 - t0) / 16 is the cost of one generation.
 func BenchmarkRunGeneration64SSets4Ranks(b *testing.B) {
-	cfg := Config{
-		Ranks:         4,
-		NumSSets:      64,
-		AgentsPerSSet: 4,
-		MemorySteps:   1,
-		Rounds:        200,
-		PCRate:        0.1,
-		MutationRate:  0.05,
-		Generations:   1,
-		Seed:          1,
-		OptLevel:      OptFusedFitness,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
+	for _, gens := range []int{0, 16} {
+		cfg := Config{
+			Ranks:         4,
+			NumSSets:      64,
+			AgentsPerSSet: 4,
+			MemorySteps:   1,
+			Rounds:        200,
+			PCRate:        0.1,
+			MutationRate:  0.05,
+			Generations:   gens,
+			Seed:          1,
+			OptLevel:      OptFusedFitness,
 		}
+		b.Run(fmt.Sprintf("generations=%d", gens), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

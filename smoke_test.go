@@ -33,8 +33,6 @@ var smokeTargets = []struct {
 	{"evogame-topology", "./cmd/evogame", []string{
 		"-topology", "torus:moore", "-ssets", "16", "-agents", "2", "-rounds", "20",
 		"-generations", "40", "-noise", "0", "-eval", "incremental"}},
-	{"validate", "./cmd/validate", []string{
-		"-ssets", "12", "-agents", "2", "-generations", "200", "-k", "2"}},
 	{"benchtables", "./cmd/benchtables", []string{"-table", "4"}},
 	{"quickstart", "./examples/quickstart", []string{"-ssets", "12", "-generations", "200"}},
 	{"axelrod_tournament", "./examples/axelrod_tournament", nil},
