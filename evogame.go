@@ -264,11 +264,13 @@ type SimulationConfig struct {
 	EvalMode EvalMode
 	// Kernel selects the deterministic-game inner loop: "" or "auto"
 	// (default) closes the periodic joint-state trajectory of a noiseless
-	// deterministic game in closed form whenever that is bit-exact,
-	// "full-replay" forces the round-by-round reference loop, and "batch"
-	// forces the bit-sliced 64-lane SWAR kernel at every memory depth when
-	// games are evaluated in batches.  All kernel modes produce identical
-	// results for identical seeds; see docs/PERFORMANCE.md.
+	// deterministic game in closed form whenever that is bit-exact, a
+	// 64-game block at a time when games are evaluated in batches, and
+	// plays noisy batches up to memory-3 on the bit-sliced 64-lane SWAR
+	// kernel; "full-replay" forces the round-by-round reference loop, and
+	// "batch" forces the SWAR kernel for every batch at every memory depth.
+	// All kernel modes produce identical results for identical seeds; see
+	// docs/PERFORMANCE.md.
 	Kernel string
 	// Workers is validated (negative values are rejected) but otherwise
 	// unused: the serial engine plays every game on the calling goroutine,
@@ -677,7 +679,10 @@ type ParallelConfig struct {
 	// modes produce identical results for identical seeds.
 	EvalMode EvalMode
 	// Kernel selects the deterministic-game inner loop exactly as in
-	// SimulationConfig ("" / "auto" / "full-replay" / "batch").
+	// SimulationConfig ("" / "auto" / "full-replay" / "batch").  Under
+	// EvalFull every generation replays each SSet's opponents as a batch,
+	// so with "auto" a noiseless run closes cycles block by block and plays
+	// no SWAR batch.
 	// Optimization levels below 2 always replay in full, preserving the
 	// Figure 3 ablation's original kernel.
 	Kernel string

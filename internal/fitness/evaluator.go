@@ -81,7 +81,7 @@ func (e *Evaluator) Cache() *PairCache {
 // must lie in the evaluator's row range.  EvalIncremental reads the
 // matrix's maintained row sum; EvalCached looks the pairs up by interned ID
 // one game.BatchLanes block at a time, so the steady state allocates
-// nothing and misses fill through the bit-sliced batch kernel.
+// nothing and misses fill through the engine's block kernels.
 func (e *Evaluator) Fitness(i int) (float64, error) {
 	if i < e.lo || i >= e.hi {
 		return 0, fmt.Errorf("fitness: row %d outside evaluated range [%d,%d)", i, e.lo, e.hi)

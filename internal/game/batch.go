@@ -15,7 +15,9 @@ import (
 // strategy against many opponents (the full-replay workload the scaling
 // studies measure); PlayPairs gives every lane its own focal strategy, so a
 // caller can fill one batch with the misses of several evaluations.  Both
-// are wrappers over the one kernel.
+// are wrappers over the one kernel.  Under KernelAuto a noiseless chunk
+// takes the cycle-closing walk instead (see playChunk), so this kernel
+// serves noisy batches there.
 //
 // Layout.  The focal players' joint histories are kept as 2n bit planes:
 // plane j holds bit j of the focal's packed game state in every lane.  The
@@ -53,10 +55,11 @@ import (
 const BatchLanes = bitvec.Lanes
 
 // batchAutoMaxMemory is the largest memory depth at which KernelAuto routes
-// eligible batches through the SWAR kernel.  The multiplexer tree costs
-// ~4^n word operations per round, so past memory-3 the scalar loop (and the
-// cycle-closing kernel) win; KernelBatch overrides the bound for
-// measurement.
+// eligible noisy batches through the SWAR kernel.  The multiplexer tree
+// costs ~4^n word operations per round, so past memory-3 the scalar loop
+// wins; KernelBatch overrides the bound for measurement.  Noiseless batches
+// never take SWAR under KernelAuto: the cycle-closing walk is faster at
+// every depth.
 const batchAutoMaxMemory = 3
 
 // KernelStats is a snapshot of how many games each kernel implementation
@@ -150,10 +153,11 @@ func (e *Engine) putBatchBuffers(buf *batchBuffers) {
 	e.batchPool.Put(buf)
 }
 
-// batchWords returns a player's packed move table when the engine's kernel
-// mode and the game's parameters allow the SWAR path, and nil when its games
-// must take the scalar fallback.
-func (e *Engine) batchWords(a Player) []uint64 {
+// laneWords returns a player's packed move table when the engine's kernel
+// mode and the game's parameters give its games a block kernel (the SWAR
+// batch, or the cycle walk for noiseless batches under KernelAuto), and nil
+// when they must take the scalar fallback.
+func (e *Engine) laneWords(a Player) []uint64 {
 	if !e.intPayoff || !a.Deterministic() || a.MemorySteps() != e.memSteps {
 		return nil
 	}
@@ -167,7 +171,7 @@ func (e *Engine) batchWords(a Player) []uint64 {
 		// stays available but plays every lane through Engine.Play.
 		return nil
 	case KernelAuto:
-		if e.memSteps > batchAutoMaxMemory {
+		if e.noise > 0 && e.memSteps > batchAutoMaxMemory {
 			return nil
 		}
 	}
@@ -177,13 +181,14 @@ func (e *Engine) batchWords(a Player) []uint64 {
 // PlayBatch plays one game between a and every opponent, writing game i's
 // outcome to out[i].  It is observably identical to calling Play(a,
 // opponents[i], srcs[i]) in index order — same results bit for bit, same
-// consumption of each source — but routes eligible games through the
-// bit-sliced batch kernel, 64 lanes at a time, when the kernel mode allows
-// it (see KernelMode).  srcs may be nil for fully deterministic noiseless
-// batches; otherwise it must hold one source per opponent (entries for
-// deterministic games may be nil when noise is off).  Opponent counts that
-// are not a multiple of 64 are fine; the ragged tail simply occupies fewer
-// lanes.
+// consumption of each source — but routes eligible games through a block
+// kernel 64 games at a time when the kernel mode allows it: the
+// cycle-closing walk for noiseless games under KernelAuto, the bit-sliced
+// SWAR kernel otherwise (see KernelMode).  srcs may be nil for fully
+// deterministic noiseless batches; otherwise it must hold one source per
+// opponent (entries for deterministic games may be nil when noise is off).
+// Opponent counts that are not a multiple of 64 are fine; the ragged tail
+// simply occupies fewer lanes.
 func (e *Engine) PlayBatch(a Player, opponents []Player, srcs []*rng.Source, out []Result) error {
 	if a == nil {
 		return fmt.Errorf("game: PlayBatch requires a focal player")
@@ -230,14 +235,28 @@ func (e *Engine) playLanes(op string, focals, opps []Player, srcs []*rng.Source,
 }
 
 // playChunk plays one chunk of at most BatchLanes games; focals holds one
-// player per game or a single player for all of them.  Lanes the SWAR
-// kernel cannot replay exactly fall back to the scalar Play path
+// player per game or a single player for all of them.  A noiseless chunk
+// under KernelAuto closes each eligible game's joint-state cycle with one
+// kernel built for the whole chunk, writing its result in place: once the
+// noise is off, the walk beats the SWAR kernel at every memory depth.
+// Otherwise eligible lanes are gathered and played bit-sliced.  Lanes
+// neither kernel can play exactly fall back to the scalar Play path
 // individually.
 func (e *Engine) playChunk(op string, focals, opps []Player, srcs []*rng.Source, out []Result) error {
 	var buf *batchBuffers
+	cycles := e.kernel == KernelAuto && e.noise == 0
+	var k cycleKernel
+	if cycles {
+		k = e.newCycleKernel()
+	}
+	var closed, open int64 // cycle-walk games, added to the counters once per chunk
 	defer func() {
 		if buf != nil {
 			e.putBatchBuffers(buf)
+		}
+		if cycles {
+			e.stats.cycleGames.Add(closed)
+			e.stats.scalarGames.Add(open)
 		}
 	}()
 	var aw []uint64
@@ -252,11 +271,11 @@ func (e *Engine) playChunk(op string, focals, opps []Player, srcs []*rng.Source,
 			return fmt.Errorf("game: %s got a nil player", op)
 		}
 		if i == 0 || len(focals) > 1 {
-			aw = e.batchWords(a)
+			aw = e.laneWords(a)
 		}
 		var bw []uint64
 		if aw != nil {
-			bw = e.batchWords(b)
+			bw = e.laneWords(b)
 		}
 		if bw != nil && e.noise > 0 && (srcs == nil || srcs[i] == nil) {
 			return fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
@@ -272,6 +291,15 @@ func (e *Engine) playChunk(op string, focals, opps []Player, srcs []*rng.Source,
 				return err
 			}
 			out[i] = res
+			continue
+		}
+		if cycles {
+			k.wa, k.wb = aw, bw
+			if k.play(e.rounds, &out[i]) {
+				closed++
+			} else {
+				open++
+			}
 			continue
 		}
 		if buf == nil {

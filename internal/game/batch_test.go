@@ -275,45 +275,143 @@ func TestPlayBatchMixedLanesFallBack(t *testing.T) {
 }
 
 // TestPlayBatchKernelRouting pins which kernel each mode uses, via the
-// engine's kernel-mix counters.
+// engine's kernel-mix counters: under KernelAuto noiseless batches close
+// cycles at every depth and noisy ones batch up to batchAutoMaxMemory;
+// KernelFullReplay replays every game and KernelBatch always batches.
 func TestPlayBatchKernelRouting(t *testing.T) {
-	mkEngine := func(mem int, k KernelMode) *Engine {
+	src := rng.New(3)
+	play := func(mem int, noise float64, k KernelMode) KernelStats {
 		e, err := NewEngine(EngineConfig{
-			Rounds: DefaultRounds, MemorySteps: mem, AccumMode: AccumLookup, Kernel: k,
+			Rounds: DefaultRounds, MemorySteps: mem, Noise: noise, AccumMode: AccumLookup, Kernel: k,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
-	}
-	src := rng.New(3)
-	play := func(e *Engine, mem int) KernelStats {
 		opps := make([]Player, 10)
+		srcs := make([]*rng.Source, len(opps))
 		for i := range opps {
 			opps[i] = randomWordPlayer(mem, src)
+			srcs[i] = rng.New(uint64(i))
 		}
 		out := make([]Result, len(opps))
-		if err := e.PlayBatch(randomWordPlayer(mem, src), opps, nil, out); err != nil {
+		if err := e.PlayBatch(randomWordPlayer(mem, src), opps, srcs, out); err != nil {
 			t.Fatal(err)
 		}
 		return e.KernelStats()
 	}
 
-	if s := play(mkEngine(1, KernelFullReplay), 1); s.BatchCalls != 0 || s.CycleGames != 0 || s.ScalarGames != 10 {
+	for _, mem := range []int{1, 4} {
+		if s := play(mem, 0, KernelAuto); s.BatchCalls != 0 || s.CycleGames+s.ScalarGames != 10 {
+			t.Fatalf("auto mode at memory-%d noiseless did not close cycles: %+v", mem, s)
+		}
+	}
+	for mem := 1; mem <= batchAutoMaxMemory; mem++ {
+		if s := play(mem, 0.05, KernelAuto); s.BatchGames != 10 || s.BatchCalls != 1 {
+			t.Fatalf("auto mode at memory-%d noisy did not batch: %+v", mem, s)
+		}
+	}
+	if s := play(batchAutoMaxMemory+1, 0.05, KernelAuto); s.BatchCalls != 0 || s.CycleGames != 0 || s.ScalarGames != 10 {
+		t.Fatalf("auto mode at memory-%d noisy did not replay: %+v", batchAutoMaxMemory+1, s)
+	}
+	if s := play(1, 0, KernelFullReplay); s.BatchCalls != 0 || s.CycleGames != 0 || s.ScalarGames != 10 {
 		t.Fatalf("full-replay mode used a fast path: %+v", s)
 	}
-	if s := play(mkEngine(1, KernelAuto), 1); s.BatchGames != 10 || s.BatchCalls != 1 {
-		t.Fatalf("auto mode at memory-1 did not batch: %+v", s)
-	}
-	if s := play(mkEngine(4, KernelAuto), 4); s.BatchCalls != 0 || s.CycleGames+s.ScalarGames != 10 {
-		t.Fatalf("auto mode at memory-4 batched anyway: %+v", s)
-	}
-	if s := play(mkEngine(4, KernelBatch), 4); s.BatchGames != 10 || s.BatchCalls != 1 {
+	if s := play(4, 0, KernelBatch); s.BatchGames != 10 || s.BatchCalls != 1 {
 		t.Fatalf("batch mode at memory-4 did not batch: %+v", s)
 	}
 	occ := KernelStats{BatchGames: 10, BatchCalls: 1}.BatchLaneOccupancy()
 	if occ != 10.0/64 {
 		t.Fatalf("BatchLaneOccupancy = %v, want %v", occ, 10.0/64)
+	}
+}
+
+// TestPlayBatchAutoNoiselessMatchesReplay checks the noiseless block path
+// of KernelAuto — one cycle kernel per chunk, results written in place —
+// against per-game full replay, for PlayBatch and PlayPairs at memory 1, 2,
+// 3 and 6 over a ragged third chunk.  Some lanes hold a mixed strategy with
+// its own source, or a deterministic player without a packed move table;
+// those fall back to Play, which must leave each source where full replay
+// does.  The kernel counters must move exactly as per-game Play under
+// KernelAuto moves them: no SWAR batch, and every eligible game counted
+// once, as a cycle game if its walk closed and a scalar one otherwise.
+func TestPlayBatchAutoNoiselessMatchesReplay(t *testing.T) {
+	for _, mem := range []int{1, 2, 3, 6} {
+		t.Run(fmt.Sprintf("mem%d", mem), func(t *testing.T) {
+			auto := mustEngine(t, EngineConfig{Rounds: DefaultRounds, MemorySteps: mem})
+			full := mustEngine(t, EngineConfig{Rounds: DefaultRounds, MemorySteps: mem, Kernel: KernelFullReplay})
+			src := rng.New(uint64(600 + mem))
+			noTable := &testPlayer{mem: mem, moves: make([]Move, NumStates(mem))}
+			for s := range noTable.moves {
+				noTable.moves[s] = Move(src.Intn(2))
+			}
+			const n = 137
+			pool := make([]Player, 4)
+			for i := range pool {
+				pool[i] = randomWordPlayer(mem, src)
+			}
+			focals, opps := make([]Player, n), make([]Player, n)
+			for i := range opps {
+				focals[i] = pool[src.Intn(len(pool))]
+				opps[i] = randomWordPlayer(mem, src)
+				switch i % 13 {
+				case 5:
+					opps[i] = &coinPlayer{mem: mem, p: 0.4}
+				case 8:
+					opps[i] = noTable
+				case 11:
+					focals[i] = noTable
+				}
+			}
+			for _, tc := range []struct {
+				name  string
+				focal func(i int) Player
+				play  func(srcs []*rng.Source, out []Result) error
+			}{
+				{"batch", func(int) Player { return focals[0] }, func(srcs []*rng.Source, out []Result) error {
+					return auto.PlayBatch(focals[0], opps, srcs, out)
+				}},
+				{"pairs", func(i int) Player { return focals[i] }, func(srcs []*rng.Source, out []Result) error {
+					return auto.PlayPairs(focals, opps, srcs, out)
+				}},
+			} {
+				before := auto.KernelStats()
+				srcs := make([]*rng.Source, n)
+				for i := range srcs {
+					srcs[i] = rng.New(uint64(i))
+				}
+				got := make([]Result, n)
+				if err := tc.play(srcs, got); err != nil {
+					t.Fatal(err)
+				}
+				single := mustEngine(t, EngineConfig{Rounds: DefaultRounds, MemorySteps: mem})
+				for i := range opps {
+					ref := rng.New(uint64(i))
+					want, err := full.Play(tc.focal(i), opps[i], ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != want {
+						t.Fatalf("%s game %d: auto %+v, full replay %+v", tc.name, i, got[i], want)
+					}
+					if srcs[i].State() != ref.State() {
+						t.Fatalf("%s game %d: RNG stream diverged after the game", tc.name, i)
+					}
+					if _, err := single.Play(tc.focal(i), opps[i], rng.New(uint64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				after := auto.KernelStats()
+				delta := KernelStats{
+					ScalarGames: after.ScalarGames - before.ScalarGames,
+					CycleGames:  after.CycleGames - before.CycleGames,
+					BatchGames:  after.BatchGames - before.BatchGames,
+					BatchCalls:  after.BatchCalls - before.BatchCalls,
+				}
+				if want := single.KernelStats(); delta != want || want.CycleGames == 0 {
+					t.Fatalf("%s: kernel stats moved by %+v, per-game Play by %+v", tc.name, delta, want)
+				}
+			}
+		})
 	}
 }
 
@@ -350,13 +448,18 @@ func TestPlayBatchValidation(t *testing.T) {
 
 // TestPlayBatchSteadyStateZeroAllocs is the alloc gate on the batch hot
 // path: once the engine's buffer pool is warm, a full-occupancy batch must
-// not allocate — noiseless or noisy, broadcast-focal or paired.
+// not allocate — SWAR noiseless or noisy, or KernelAuto's noiseless cycle
+// block, broadcast-focal or paired.
 func TestPlayBatchSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
-	for _, noise := range []float64{0, 0.05} {
-		batch, _ := newTestEngines(t, 1, noise)
+	for _, tc := range []struct {
+		noise  float64
+		kernel KernelMode
+	}{{0, KernelBatch}, {0.05, KernelBatch}, {0, KernelAuto}} {
+		noise := tc.noise
+		batch := mustEngine(t, EngineConfig{Rounds: DefaultRounds, MemorySteps: 1, Noise: noise, Kernel: tc.kernel})
 		src := rng.New(11)
 		focals := make([]Player, BatchLanes)
 		opps := make([]Player, BatchLanes)
@@ -384,7 +487,7 @@ func TestPlayBatchSteadyStateZeroAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("noise %v: steady-state %s allocates %v times per call, want 0", noise, name, allocs)
+				t.Fatalf("%v noise %v: steady-state %s allocates %v times per call, want 0", tc.kernel, noise, name, allocs)
 			}
 		}
 	}

@@ -228,8 +228,10 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 		wa, okA := a.(MoveTable)
 		wb, okB := b.(MoveTable)
 		if okA && okB {
-			res, closed := e.playCycleClosing(wa.Words(), wb.Words())
-			if closed {
+			k := e.newCycleKernel()
+			k.wa, k.wb = wa.Words(), wb.Words()
+			var res Result
+			if k.play(e.rounds, &res) {
 				e.stats.cycleGames.Add(1)
 			} else {
 				e.stats.scalarGames.Add(1)

@@ -21,17 +21,22 @@ const (
 	// game qualifies: noiseless, both players deterministic with packed move
 	// tables (see MoveTable), and an integer-valued payoff matrix.  Games
 	// that do not qualify replay every round exactly as KernelFullReplay.
+	// Engine.PlayBatch and PlayPairs close the cycles of a noiseless batch
+	// block by block, one kernel per 64-game chunk; noisy batches up to
+	// memory-3 take the bit-sliced SWAR kernel, the only fast path for
+	// noisy games.
 	KernelAuto KernelMode = iota
 	// KernelFullReplay always replays all rounds; it is the pre-optimization
 	// reference kernel and the baseline the perf tables compare against.
 	KernelFullReplay
 	// KernelBatch behaves like KernelAuto for single games but forces
-	// Engine.PlayBatch to use the bit-sliced SWAR kernel at every memory
-	// depth for eligible lanes (KernelAuto only batches up to memory-3,
-	// where the multiplexer tree is cheaper than the scalar loop).  Like the
-	// other fast paths it is bit-identical per seed, so the mode exists for
-	// forcing the batch path in measurements and tests rather than for
-	// changing outcomes.
+	// Engine.PlayBatch and PlayPairs to use the bit-sliced SWAR kernel for
+	// eligible lanes, noiseless or noisy, at every memory depth (KernelAuto
+	// batches only noisy games up to memory-3, where the multiplexer tree
+	// is cheaper than the scalar loop, and closes noiseless games' cycles
+	// instead).  Like the other fast paths it is bit-identical per seed, so
+	// the mode exists for forcing the batch path in measurements and tests
+	// rather than for changing outcomes.
 	KernelBatch
 )
 
@@ -82,15 +87,26 @@ type MoveTable interface {
 	Words() []uint64
 }
 
-// cycleKernel is the state of one cycle-closing game: both players' packed
+// cycleKernel is the state of the cycle-closing walk: both players' packed
 // move tables, the per-round payoff lookup table and the state geometry.
-// It lives entirely on the caller's stack, keeping the fast path free of
-// heap allocations.
+// Engine.Play builds one per game and the noiseless block path one per
+// chunk, swapping in each lane's tables; either way it lives on the
+// caller's stack, keeping the fast path free of heap allocations.
 type cycleKernel struct {
 	wa, wb []uint64
 	table  [4]float64
 	mask   int
 	shift  uint
+}
+
+// newCycleKernel returns a kernel with the engine's payoff table and state
+// geometry and no move tables yet.
+func (e *Engine) newCycleKernel() cycleKernel {
+	return cycleKernel{
+		table: e.table,
+		mask:  (1 << (2 * uint(e.memSteps))) - 1,
+		shift: 2 * uint(e.memSteps),
+	}
 }
 
 // accum collects running game totals.
@@ -128,25 +144,17 @@ func (k *cycleKernel) round(s int, a *accum) int {
 	return sA<<k.shift | sB
 }
 
-// playCycleClosing plays a noiseless game between two packed move tables in
-// one walk of at most rounds steps over the joint-state sequence.  The walk
-// accumulates the totals as it goes and keeps a Brent tortoise at step
-// 2^j - 1 together with the totals up to it (done) and since it (lap).
-// When the walk returns to the tortoise's joint state, everything after the
-// tortoise repeats with period lam, so the game is done + (reps+1)·lap plus
-// a tail of fewer than lam rounds; closed reports that this happened.  If
-// the walk reaches the horizon first, it was itself the full replay.  With
-// an integer-valued payoff matrix every term is an exact integer, so the
-// result is bit-identical to a round-by-round replay.
-func (e *Engine) playCycleClosing(wa, wb []uint64) (res Result, closed bool) {
-	k := cycleKernel{
-		wa:    wa,
-		wb:    wb,
-		table: e.table,
-		mask:  (1 << (2 * uint(e.memSteps))) - 1,
-		shift: 2 * uint(e.memSteps),
-	}
-	rounds := e.rounds
+// play plays a noiseless rounds-long game between k.wa and k.wb in one
+// walk of at most rounds steps over the joint-state sequence, writing the
+// totals to res.  The walk accumulates the totals as it goes and keeps a
+// Brent tortoise at step 2^j - 1 together with the totals up to it (done)
+// and since it (lap).  When the walk returns to the tortoise's joint state,
+// everything after the tortoise repeats with period lam, so the game is
+// done + (reps+1)·lap plus a tail of fewer than lam rounds; closed reports
+// that this happened.  If the walk reaches the horizon first, it was itself
+// the full replay.  With an integer-valued payoff matrix every term is an
+// exact integer, so the result is bit-identical to a round-by-round replay.
+func (k *cycleKernel) play(rounds int, res *Result) (closed bool) {
 	var done, lap accum
 	s := InitialState<<k.shift | InitialState
 	tortoise, power, lam := s, 1, 0
@@ -158,7 +166,8 @@ func (e *Engine) playCycleClosing(wa, wb []uint64) (res Result, closed bool) {
 			for i := (rounds - step) % lam; i > 0; i-- {
 				s = k.round(s, &done)
 			}
-			return done.result(rounds), true
+			*res = done.result(rounds)
+			return true
 		}
 		if lam == power {
 			done.addTimes(lap, 1)
@@ -167,5 +176,6 @@ func (e *Engine) playCycleClosing(wa, wb []uint64) (res Result, closed bool) {
 		}
 	}
 	done.addTimes(lap, 1)
-	return done.result(rounds), false
+	*res = done.result(rounds)
+	return false
 }

@@ -359,10 +359,10 @@ func oraclePlay(a, b Player, m Matrix, rounds int) Result {
 	return res
 }
 
-// FuzzCycleKernel checks Play under KernelAuto against oraclePlay bit for
-// bit: memory 1–6, random move tables (masked so that sparse, structured
-// tables whose walks close early occur too), rounds 1–400 and a random
-// integer payoff matrix.
+// FuzzCycleKernel checks Play and the noiseless block path of PlayBatch
+// under KernelAuto against oraclePlay bit for bit: memory 1–6, random move
+// tables (masked so that sparse, structured tables whose walks close early
+// occur too), rounds 1–400 and a random integer payoff matrix.
 func FuzzCycleKernel(f *testing.F) {
 	f.Add(uint8(1), uint16(200), uint64(2013), ^uint64(0), ^uint64(0), false, int8(3), int8(0), int8(5), int8(1))
 	f.Add(uint8(6), uint16(200), uint64(7), uint64(0x0101010101010101), uint64(0x8000000000000001), false, int8(3), int8(0), int8(5), int8(1))
@@ -391,11 +391,26 @@ func FuzzCycleKernel(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := oraclePlay(a, b, e.Payoff(), e.Rounds()); got != want {
+		want := oraclePlay(a, b, e.Payoff(), e.Rounds())
+		if got != want {
 			t.Fatalf("memory-%d, %d rounds, payoff %+v: Play %+v, oracle %+v", n, e.Rounds(), e.Payoff(), got, want)
 		}
 		if st := e.KernelStats(); st.CycleGames+st.ScalarGames != 1 {
 			t.Fatalf("one game moved the counters to %+v", st)
+		}
+		// The noiseless block path of PlayBatch shares the walk; the
+		// self-play lane in the middle gives it a second table pair.
+		var out [3]Result
+		if err := e.PlayBatch(a, []Player{b, a, b}, nil, out[:]); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range []Result{want, oraclePlay(a, a, e.Payoff(), e.Rounds()), want} {
+			if out[i] != w {
+				t.Fatalf("memory-%d, %d rounds, payoff %+v: PlayBatch lane %d %+v, oracle %+v", n, e.Rounds(), e.Payoff(), i, out[i], w)
+			}
+		}
+		if st := e.KernelStats(); st.BatchCalls != 0 || st.CycleGames+st.ScalarGames != 4 {
+			t.Fatalf("one game and a 3-lane block moved the counters to %+v", st)
 		}
 	})
 }

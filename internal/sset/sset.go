@@ -121,7 +121,7 @@ type FitnessOptions struct {
 }
 
 // sumRange plays the SSet's strategy against opponents[lo:hi) in index
-// order through the engine's bit-sliced batch kernel, one
+// order through the engine's batch entry point (game.Engine.PlayBatch), one
 // game.BatchLanes-sized block at a time, and returns the summed focal
 // payoff.  When pay is non-nil it also stores each game's focal payoff at
 // pay[i].  The result buffers live on the stack, so the steady state
