@@ -240,7 +240,9 @@ func (c *PairCache) Interner() *intern.Registry { return c.store.reg }
 // re-adding pair payoffs reproduces a fresh evaluation bit for bit.
 // EffectiveMode downgrades EvalIncremental to EvalCached when this fails (for
 // example a generic 2x2 game with fractional payoffs), preserving the
-// all-modes-identical guarantee.
+// all-modes-identical guarantee.  It checks integrality only, so it
+// assumes every row sum stays within 2^53; a matrix large enough to break
+// that is not caught (the game kernels' gate bounds per-game totals).
 func DeltaExact(eng *game.Engine) bool {
 	return eng != nil && eng.Payoff().IntegerValued()
 }

@@ -32,21 +32,21 @@ import (
 // counters; the per-lane totals are reconstructed once at the end of the
 // batch.
 //
-// Exactness.  With an integer-valued payoff matrix the scalar loop's
-// running fitness sum is an exactly representable integer after every
-// round, and the batch kernel's count*payoff closed form produces the same
-// integer, so the two are bit-identical; the kernel is therefore gated on
-// Matrix.IntegerValued exactly like the cycle-closing kernel.  Noise is
-// handled by drawing each lane's per-round flips up front from that game's
-// own rng.Source in canonical scalar order (two draws per round, focal
-// player first) with rng.Source.BernoulliLane: the engine's noise level is
+// Exactness.  The per-lane totals come from the outcome counts through the
+// closed form the cycle-closing walk also uses (totals), so the kernel sits
+// behind the same gate: integer payoffs with max|payoff|·rounds ≤ 2^53
+// (exactSums), under which the scalar loop's running sum and the closed
+// form are the same exact integer.  Noise is handled by drawing each
+// lane's per-round flips up front from that game's own rng.Source in
+// canonical scalar order (two draws per round, focal player first) with
+// rng.Source.BernoulliLane: the engine's noise level is
 // precomputed as an integer threshold, and the lane draw keeps the
 // generator state in registers and ORs the lane bit into the flip planes
 // without branching.  The draws are exactly those of the scalar loop's
 // Bernoulli calls, so the RNG streams — and therefore the trajectory of any
 // caller — are unchanged.  Games the kernel cannot replay exactly (mixed
-// strategies, fractional payoff matrices, players without packed move
-// tables) fall back to the scalar Play path lane by lane.
+// strategies, payoff matrices outside the gate, players without packed
+// move tables) fall back to the scalar Play path lane by lane.
 
 // BatchLanes is the number of games one bit-sliced batch plays at once: one
 // lane per bit of a uint64 word.  Engine.PlayBatch accepts any number of
@@ -158,7 +158,7 @@ func (e *Engine) putBatchBuffers(buf *batchBuffers) {
 // batch, or the cycle walk for noiseless batches under KernelAuto), and nil
 // when they must take the scalar fallback.
 func (e *Engine) laneWords(a Player) []uint64 {
-	if !e.intPayoff || !a.Deterministic() || a.MemorySteps() != e.memSteps {
+	if !e.exact || !a.Deterministic() || a.MemorySteps() != e.memSteps {
 		return nil
 	}
 	mt, ok := a.(MoveTable)
@@ -236,12 +236,11 @@ func (e *Engine) playLanes(op string, focals, opps []Player, srcs []*rng.Source,
 
 // playChunk plays one chunk of at most BatchLanes games; focals holds one
 // player per game or a single player for all of them.  A noiseless chunk
-// under KernelAuto closes each eligible game's joint-state cycle with one
-// kernel built for the whole chunk, writing its result in place: once the
-// noise is off, the walk beats the SWAR kernel at every memory depth.
-// Otherwise eligible lanes are gathered and played bit-sliced.  Lanes
-// neither kernel can play exactly fall back to the scalar Play path
-// individually.
+// under KernelAuto closes each eligible game's cycle with one kernel built
+// for the whole chunk, writing its result in place: once the noise is off,
+// the walk beats the SWAR kernel at every memory depth.  Otherwise eligible
+// lanes are gathered and played bit-sliced.  Lanes neither kernel can play
+// exactly fall back to the scalar Play path individually.
 func (e *Engine) playChunk(op string, focals, opps []Player, srcs []*rng.Source, out []Result) error {
 	var buf *batchBuffers
 	cycles := e.kernel == KernelAuto && e.noise == 0
@@ -380,20 +379,13 @@ func (e *Engine) playChunk(op string, focals, opps []Player, srcs []*rng.Source,
 		planes[0] = moveB
 	}
 
-	t := e.table
-	rounds := e.rounds
 	for l := 0; l < lanes; l++ {
-		cc := bitvec.CounterLane(buf.counts[0], l)
-		cd := bitvec.CounterLane(buf.counts[1], l)
-		dc := bitvec.CounterLane(buf.counts[2], l)
-		dd := rounds - cc - cd - dc
-		out[buf.lane2idx[l]] = Result{
-			FitnessA:      float64(cc)*t[0] + float64(cd)*t[1] + float64(dc)*t[2] + float64(dd)*t[3],
-			FitnessB:      float64(cc)*t[0] + float64(cd)*t[2] + float64(dc)*t[1] + float64(dd)*t[3],
-			CooperationsA: cc + cd,
-			CooperationsB: cc + dc,
-			Rounds:        rounds,
+		var n [4]int
+		for c := range buf.counts {
+			n[c] = bitvec.CounterLane(buf.counts[c], l)
 		}
+		n[3] = e.rounds - n[0] - n[1] - n[2]
+		totals(&out[buf.lane2idx[l]], &e.table, &n)
 	}
 	e.stats.batchGames.Add(int64(lanes))
 	e.stats.batchCalls.Add(1)

@@ -515,6 +515,7 @@ func benchmarkPlayBatch(b *testing.B, mem int, noise float64, kernel KernelMode)
 		}
 	}
 	out := make([]Result, len(opps))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := e.PlayBatch(focal, opps, srcs, out); err != nil {
@@ -529,3 +530,12 @@ func BenchmarkPlayBatchMemoryOne(b *testing.B)      { benchmarkPlayBatch(b, 1, 0
 func BenchmarkPlayBatchMemoryOneNoisy(b *testing.B) { benchmarkPlayBatch(b, 1, 0.05, KernelBatch) }
 func BenchmarkPlayBatchMemoryThree(b *testing.B)    { benchmarkPlayBatch(b, 3, 0, KernelBatch) }
 func BenchmarkPlayBatchScalarRef(b *testing.B)      { benchmarkPlayBatch(b, 1, 0, KernelFullReplay) }
+
+// BenchmarkPlayBatchAutoNoiseless times the noiseless KernelAuto block path,
+// the cycle walk one kernel per chunk, which fig6b-shaped runs and
+// pair-cache misses take.
+func BenchmarkPlayBatchAutoNoiseless(b *testing.B) {
+	for _, mem := range []int{1, 3, 6} {
+		b.Run(fmt.Sprintf("memory=%d", mem), func(b *testing.B) { benchmarkPlayBatch(b, mem, 0, KernelAuto) })
+	}
+}

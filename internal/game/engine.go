@@ -2,6 +2,7 @@ package game
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"evogame/internal/rng"
@@ -67,7 +68,7 @@ type Engine struct {
 	stateMode StateMode
 	accumMode AccumMode
 	kernel    KernelMode
-	intPayoff bool
+	exact     bool // exactSums(payoff, rounds): closed forms equal replay
 	states    *StateTable
 
 	stats     kernelCounters
@@ -142,12 +143,40 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		stateMode: cfg.StateMode,
 		accumMode: cfg.AccumMode,
 		kernel:    cfg.Kernel,
-		intPayoff: cfg.Payoff.IntegerValued(),
+		exact:     exactSums(cfg.Payoff, cfg.Rounds),
+	}
+	for c, v := range e.table {
+		if v == 0 {
+			// A -0 payoff would let a closed form end on -0 where the
+			// replay's running sum, which starts at +0, ends on +0.
+			e.table[c] = 0
+		}
 	}
 	if cfg.StateMode == StateLinearSearch {
 		e.states = NewStateTable(cfg.MemorySteps)
 	}
 	return e, nil
+}
+
+// exactSums reports whether every total a rounds-long game over m can reach
+// is an exactly representable float64 integer: each payoff is an integer
+// and max|payoff|·rounds ≤ 2^53.  Then every product and partial sum of a
+// closed form (outcome count × payoff, summed over the four outcome codes)
+// is exact, and so is every partial sum of a round-by-round replay, so the
+// two agree bit for bit.  Integer payoffs alone are not enough: past 2^53
+// the replay's running sum rounds after each round and the closed form
+// rounds differently.  Both block kernels sit behind this gate.
+func exactSums(m Matrix, rounds int) bool {
+	if !m.IntegerValued() {
+		return false
+	}
+	limit := float64(int64(1<<53) / int64(rounds)) // exact: max|payoff| ≤ ⌊2^53/rounds⌋
+	for _, v := range m.Table() {
+		if math.Abs(v) > limit {
+			return false
+		}
+	}
+	return true
 }
 
 // MemorySteps returns the memory depth of games this engine plays.
@@ -218,9 +247,9 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 		return Result{}, fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
 			e.noise, a.Deterministic(), b.Deterministic())
 	}
-	if !needRand && e.kernel != KernelFullReplay && e.intPayoff {
-		// Deterministic noiseless game over an integer-valued payoff matrix:
-		// the joint-state walk is periodic and the closed-form totals are
+	if !needRand && e.kernel != KernelFullReplay && e.exact {
+		// Deterministic noiseless game whose totals stay exact (see
+		// exactSums): the walk is periodic and the closed-form totals are
 		// bit-identical to a full replay (see KernelMode).  KernelBatch only
 		// changes batch routing, so single games keep the KernelAuto fast
 		// path.  A walk that reaches the horizon before closing its cycle

@@ -5,21 +5,26 @@ import "fmt"
 // KernelMode selects the inner-loop implementation Engine.Play uses for a
 // fully deterministic, noiseless game.
 //
-// The joint (stateA, stateB) trajectory of two deterministic memory-n
-// automata is itself a deterministic walk over at most 4^n x 4^n joint
-// states, so it must enter a cycle within that many rounds (16 joint states
-// at the paper's memory-one).  Once the cycle is known, the totals of a
-// rounds-long game follow in closed form — prefix + k*cycle + tail — instead
-// of replaying every round.  With an integer-valued payoff matrix every
-// partial sum is an exactly representable integer, so the closed form is
-// bit-identical to the replayed sum; engines therefore keep their
-// per-seed trajectories unchanged whichever mode runs.
+// The opponent's state is always the focal's state with every round's
+// (my, opp) pair swapped, so the game of two deterministic memory-n
+// automata is a deterministic walk over the focal's 4^n states alone and
+// must enter a cycle within that many rounds (4 at the paper's
+// memory-one).  The walk counts each round's outcome code (CC, CD, DC,
+// DD); once the cycle is known, the counts of a rounds-long game follow as
+// prefix + k*cycle + tail instead of replaying every round, and the totals
+// follow from the counts by the closed form the SWAR kernel also uses
+// (count·payoff over the four codes).  With integer payoffs and
+// max|payoff|·rounds ≤ 2^53 every product and partial sum is an exactly
+// representable integer, so the closed form is bit-identical to the
+// replayed sum; engines therefore keep their per-seed trajectories
+// unchanged whichever mode runs.
 type KernelMode int
 
 const (
-	// KernelAuto (the default) closes the joint-state cycle whenever the
-	// game qualifies: noiseless, both players deterministic with packed move
-	// tables (see MoveTable), and an integer-valued payoff matrix.  Games
+	// KernelAuto (the default) closes the cycle whenever the game
+	// qualifies: noiseless, both players deterministic with packed move
+	// tables (see MoveTable), and a payoff matrix whose totals stay exact
+	// (integer payoffs, max|payoff|·rounds ≤ 2^53).  Games
 	// that do not qualify replay every round exactly as KernelFullReplay.
 	// Engine.PlayBatch and PlayPairs close the cycles of a noiseless batch
 	// block by block, one kernel per 64-game chunk; noisy batches up to
@@ -88,94 +93,96 @@ type MoveTable interface {
 }
 
 // cycleKernel is the state of the cycle-closing walk: both players' packed
-// move tables, the per-round payoff lookup table and the state geometry.
-// Engine.Play builds one per game and the noiseless block path one per
-// chunk, swapping in each lane's tables; either way it lives on the
-// caller's stack, keeping the fast path free of heap allocations.
+// move tables, the payoff lookup table and the state mask.  Engine.Play
+// builds one per game and the noiseless block path one per chunk, swapping
+// in each lane's tables; either way it lives on the caller's stack, keeping
+// the fast path free of heap allocations.
 type cycleKernel struct {
 	wa, wb []uint64
 	table  [4]float64
 	mask   int
-	shift  uint
 }
 
 // newCycleKernel returns a kernel with the engine's payoff table and state
-// geometry and no move tables yet.
+// mask and no move tables yet.
 func (e *Engine) newCycleKernel() cycleKernel {
-	return cycleKernel{
-		table: e.table,
-		mask:  (1 << (2 * uint(e.memSteps))) - 1,
-		shift: 2 * uint(e.memSteps),
+	return cycleKernel{table: e.table, mask: NumStates(e.memSteps) - 1}
+}
+
+// oppBits selects the low (opponent) bit of every round's pair in a packed
+// state of any supported memory depth: 0b0101…01 over 2·MaxMemorySteps bits.
+const oppBits = (1<<(2*MaxMemorySteps) - 1) / 3
+
+// swapPairs returns a packed state seen from the other player's side: the
+// two move bits of every round are swapped (OpponentState without the
+// loop).
+func swapPairs(s int) int {
+	return (s>>1)&oppBits | (s&oppBits)<<1
+}
+
+// next plays one round from the focal player's state s and returns the
+// focal's next state, whose low two bits are the round's outcome code.
+// The opponent's state is s with every round's pair swapped, so the walk
+// carries the focal's state alone.
+func (k *cycleKernel) next(s int) int {
+	o := swapPairs(s)
+	ma := int(k.wa[s>>6]>>(uint(s)&63)) & 1
+	mb := int(k.wb[o>>6]>>(uint(o)&63)) & 1
+	return (s<<2)&k.mask | ma<<1 | mb
+}
+
+// totals writes to res the closed form of a game from its outcome counts:
+// n[c] is the number of rounds with outcome code c (CC, CD, DC, DD from the
+// focal player's side).  Both block kernels build their Results with it.
+// When the engine's payoff gate holds (see exactSums) every product and
+// partial sum is an exactly representable integer, so the totals are
+// bit-identical to a round-by-round replay.
+func totals(res *Result, t *[4]float64, n *[4]int) {
+	cc, cd, dc, dd := float64(n[0]), float64(n[1]), float64(n[2]), float64(n[3])
+	*res = Result{
+		FitnessA:      cc*t[0] + cd*t[1] + dc*t[2] + dd*t[3],
+		FitnessB:      cc*t[0] + cd*t[2] + dc*t[1] + dd*t[3],
+		CooperationsA: n[0] + n[1],
+		CooperationsB: n[0] + n[2],
+		Rounds:        n[0] + n[1] + n[2] + n[3],
 	}
-}
-
-// accum collects running game totals.
-type accum struct {
-	fitA, fitB   float64
-	coopA, coopB int
-}
-
-// addTimes adds n copies of b to a.
-func (a *accum) addTimes(b accum, n int) {
-	a.fitA += float64(n) * b.fitA
-	a.fitB += float64(n) * b.fitB
-	a.coopA += n * b.coopA
-	a.coopB += n * b.coopB
-}
-
-// result returns the totals as the Result of a rounds-long game.
-func (a accum) result(rounds int) Result {
-	return Result{FitnessA: a.fitA, FitnessB: a.fitB, CooperationsA: a.coopA, CooperationsB: a.coopB, Rounds: rounds}
-}
-
-// round plays one round from joint state s, adds its payoffs and
-// cooperation counts to a, and returns the next joint state.
-func (k *cycleKernel) round(s int, a *accum) int {
-	sA := s >> k.shift
-	sB := s & k.mask
-	ma := int(k.wa[sA>>6]>>(uint(sA)&63)) & 1
-	mb := int(k.wb[sB>>6]>>(uint(sB)&63)) & 1
-	a.fitA += k.table[ma<<1|mb]
-	a.fitB += k.table[mb<<1|ma]
-	a.coopA += 1 - ma
-	a.coopB += 1 - mb
-	sA = ((sA << 2) | ma<<1 | mb) & k.mask
-	sB = ((sB << 2) | mb<<1 | ma) & k.mask
-	return sA<<k.shift | sB
 }
 
 // play plays a noiseless rounds-long game between k.wa and k.wb in one
-// walk of at most rounds steps over the joint-state sequence, writing the
-// totals to res.  The walk accumulates the totals as it goes and keeps a
-// Brent tortoise at step 2^j - 1 together with the totals up to it (done)
-// and since it (lap).  When the walk returns to the tortoise's joint state,
-// everything after the tortoise repeats with period lam, so the game is
-// done + (reps+1)·lap plus a tail of fewer than lam rounds; closed reports
+// walk of at most rounds steps over the focal player's states, writing the
+// totals to res.  The walk counts each round's outcome code as it goes and
+// keeps a Brent tortoise at step 2^j - 1 together with the counts up to it
+// (mark).  The opponent's state is a function of the focal's, so when the
+// walk returns to the tortoise's state everything after the tortoise
+// repeats with period lam: the game is the counts so far plus reps more
+// laps of n - mark, plus a tail of fewer than lam rounds; closed reports
 // that this happened.  If the walk reaches the horizon first, it was itself
-// the full replay.  With an integer-valued payoff matrix every term is an
-// exact integer, so the result is bit-identical to a round-by-round replay.
+// the full replay.  Either way the Result is totals of the counts.
 func (k *cycleKernel) play(rounds int, res *Result) (closed bool) {
-	var done, lap accum
-	s := InitialState<<k.shift | InitialState
+	var n, mark [4]int
+	s := InitialState
 	tortoise, power, lam := s, 1, 0
 	for step := 1; step <= rounds; step++ {
-		s = k.round(s, &lap)
+		s = k.next(s)
+		n[s&3]++
 		lam++
 		if s == tortoise {
-			done.addTimes(lap, 1+(rounds-step)/lam)
-			for i := (rounds - step) % lam; i > 0; i-- {
-				s = k.round(s, &done)
+			reps := (rounds - step) / lam
+			for c := range n {
+				n[c] += reps * (n[c] - mark[c])
 			}
-			*res = done.result(rounds)
+			for i := (rounds - step) % lam; i > 0; i-- {
+				s = k.next(s)
+				n[s&3]++
+			}
+			totals(res, &k.table, &n)
 			return true
 		}
 		if lam == power {
-			done.addTimes(lap, 1)
-			lap = accum{}
+			mark = n
 			tortoise, power, lam = s, power<<1, 0
 		}
 	}
-	done.addTimes(lap, 1)
-	*res = done.result(rounds)
+	totals(res, &k.table, &n)
 	return false
 }

@@ -2,6 +2,7 @@ package game
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"evogame/internal/rng"
@@ -319,6 +320,64 @@ func TestKernelStatsAttribution(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two results are identical bit for bit; unlike
+// ==, it tells -0 from +0.
+func sameBits(a, b Result) bool {
+	return math.Float64bits(a.FitnessA) == math.Float64bits(b.FitnessA) &&
+		math.Float64bits(a.FitnessB) == math.Float64bits(b.FitnessB) &&
+		a.CooperationsA == b.CooperationsA && a.CooperationsB == b.CooperationsB && a.Rounds == b.Rounds
+}
+
+// TestExactSumsGate pins the payoff gate both closed forms sit behind.  Past
+// max|payoff|·rounds = 2^53 a replay's running sum rounds after each round,
+// so every kernel must replay; just inside the bound the closed forms must
+// run and still equal the replay bit for bit.  A -0 payoff must not turn a
+// closed form's total into -0.  All 16 memory-one tables play each other
+// through Play and PlayBatch under every kernel mode.
+func TestExactSumsGate(t *testing.T) {
+	const rounds = DefaultRounds
+	inside := float64((1 << 53) / rounds)
+	players := make([]Player, 16)
+	for code := range players {
+		players[code] = wordPlayerFromBits(1, uint64(code))
+	}
+	for _, tc := range []struct {
+		name string
+		game Spec
+		m    Matrix
+		fast bool
+	}{
+		{"past 2^53", IPD(), Matrix{Reward: 1 << 53, Sucker: 1, Temptation: 1<<53 + 2, Punishment: 2}, false},
+		{"just inside", IPD(), Matrix{Reward: inside - 2, Sucker: 1, Temptation: inside, Punishment: 2}, true},
+		{"negative zero", Generic(), Matrix{Reward: -1, Sucker: -2, Temptation: -3, Punishment: math.Copysign(0, -1)}, true},
+	} {
+		for _, mode := range []KernelMode{KernelAuto, KernelFullReplay, KernelBatch} {
+			e := mustEngine(t, EngineConfig{Game: tc.game, Payoff: tc.m, Rounds: rounds, MemorySteps: 1, Kernel: mode})
+			out := make([]Result, len(players))
+			for i, a := range players {
+				if err := e.PlayBatch(a, players, nil, out); err != nil {
+					t.Fatal(err)
+				}
+				for j, b := range players {
+					want := oraclePlay(a, b, tc.m, rounds)
+					got, err := e.Play(a, b, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got, want) || !sameBits(out[j], want) {
+						t.Fatalf("%s, %v, pair (%d,%d): Play %+v, PlayBatch %+v, oracle %+v",
+							tc.name, mode, i, j, got, out[j], want)
+					}
+				}
+			}
+			st := e.KernelStats()
+			if fast := st.CycleGames+st.BatchGames > 0; fast != (tc.fast && mode != KernelFullReplay) {
+				t.Errorf("%s, %v: kernel stats %+v", tc.name, mode, st)
+			}
+		}
+	}
+}
+
 // oraclePlay is the test-only reference for one noiseless game: a plain
 // round loop over the last n rounds of play, kept in a slice, asking each
 // player for its move with no packed state, cycle logic or History.
@@ -362,12 +421,19 @@ func oraclePlay(a, b Player, m Matrix, rounds int) Result {
 // FuzzCycleKernel checks Play and the noiseless block path of PlayBatch
 // under KernelAuto against oraclePlay bit for bit: memory 1–6, random move
 // tables (masked so that sparse, structured tables whose walks close early
-// occur too), rounds 1–400 and a random integer payoff matrix.
+// occur too), rounds 1–400 and a random integer payoff matrix.  Where
+// Brent's schedule decides a game's counter (see kernelSplit), it also
+// checks the ScalarGames/CycleGames split.
 func FuzzCycleKernel(f *testing.F) {
 	f.Add(uint8(1), uint16(200), uint64(2013), ^uint64(0), ^uint64(0), false, int8(3), int8(0), int8(5), int8(1))
 	f.Add(uint8(6), uint16(200), uint64(7), uint64(0x0101010101010101), uint64(0x8000000000000001), false, int8(3), int8(0), int8(5), int8(1))
 	f.Add(uint8(3), uint16(1), uint64(1), ^uint64(0), uint64(0), true, int8(-4), int8(9), int8(0), int8(-128))
 	f.Add(uint8(4), uint16(399), uint64(99), uint64(0x00ff00ff00ff00ff), ^uint64(0), true, int8(127), int8(-1), int8(2), int8(2))
+	// Rounds shorter than the walk's first repeat: the walk reaches the
+	// horizon and counts as a replay.
+	f.Add(uint8(5), uint16(4), uint64(1), ^uint64(0), ^uint64(0), false, int8(3), int8(0), int8(5), int8(1))
+	f.Add(uint8(2), uint16(2), uint64(1), ^uint64(0), ^uint64(0), false, int8(3), int8(0), int8(5), int8(1))
+	f.Add(uint8(3), uint16(11), uint64(8), ^uint64(0), ^uint64(0), true, int8(2), int8(-3), int8(7), int8(0))
 	f.Fuzz(func(t *testing.T, mem uint8, rounds uint16, seed, maskA, maskB uint64, self bool, r, s, tp, p int8) {
 		n := int(mem)%MaxMemorySteps + 1
 		src := rng.New(seed)
@@ -395,8 +461,13 @@ func FuzzCycleKernel(f *testing.F) {
 		if got != want {
 			t.Fatalf("memory-%d, %d rounds, payoff %+v: Play %+v, oracle %+v", n, e.Rounds(), e.Payoff(), got, want)
 		}
-		if st := e.KernelStats(); st.CycleGames+st.ScalarGames != 1 {
+		st := e.KernelStats()
+		if st.CycleGames+st.ScalarGames != 1 {
 			t.Fatalf("one game moved the counters to %+v", st)
+		}
+		wantAB, knownAB := kernelSplit(a, b, e.Rounds())
+		if knownAB && st != wantAB {
+			t.Fatalf("memory-%d, %d rounds: one game moved the counters to %+v, want %+v", n, e.Rounds(), st, wantAB)
 		}
 		// The noiseless block path of PlayBatch shares the walk; the
 		// self-play lane in the middle gives it a second table pair.
@@ -409,10 +480,32 @@ func FuzzCycleKernel(f *testing.F) {
 				t.Fatalf("memory-%d, %d rounds, payoff %+v: PlayBatch lane %d %+v, oracle %+v", n, e.Rounds(), e.Payoff(), i, out[i], w)
 			}
 		}
-		if st := e.KernelStats(); st.BatchCalls != 0 || st.CycleGames+st.ScalarGames != 4 {
+		st = e.KernelStats()
+		if st.BatchCalls != 0 || st.CycleGames+st.ScalarGames != 4 {
 			t.Fatalf("one game and a 3-lane block moved the counters to %+v", st)
 		}
+		if wantAA, knownAA := kernelSplit(a, a, e.Rounds()); knownAB && knownAA {
+			want := KernelStats{ScalarGames: 3*wantAB.ScalarGames + wantAA.ScalarGames, CycleGames: 3*wantAB.CycleGames + wantAA.CycleGames}
+			if st != want {
+				t.Fatalf("memory-%d, %d rounds: one game and a 3-lane block moved the counters to %+v, want %+v", n, e.Rounds(), st, want)
+			}
+		}
 	})
+}
+
+// kernelSplit returns the counters one cycle walk of a against b moves
+// when Brent's schedule decides them, with known false otherwise.  The walk
+// cannot close before its first repeated state (step mu+lam), so a game of
+// fewer rounds is a replay; it always closes by step 3(mu+lam)-2, since the
+// tortoise sits at step 2^j-1 (see TestKernelStatsAttribution).
+func kernelSplit(a, b Player, rounds int) (st KernelStats, known bool) {
+	switch rho := jointRho(a, b, rounds); {
+	case rho > rounds:
+		return KernelStats{ScalarGames: 1}, true
+	case rho <= (rounds-1)/3:
+		return KernelStats{CycleGames: 1}, true
+	}
+	return KernelStats{}, false
 }
 
 // BenchmarkCycleClosingMemorySix plays random memory-6 move-table pairs at

@@ -121,9 +121,10 @@ func (m Matrix) MinPerRound() float64 {
 
 // IntegerValued reports whether every payoff is an exact integer.  Integer
 // matrices make every accumulated fitness sum an exactly-representable
-// float64, which is what lets the incremental fitness mode's delta updates
-// stay bit-identical to full re-evaluation; non-integer matrices fall back
-// to the pair-cached mode.
+// float64 as long as the sums stay within 2^53, which is what lets the
+// incremental fitness mode's delta updates stay bit-identical to full
+// re-evaluation; non-integer matrices fall back to the pair-cached mode.
+// The game kernels also bound the magnitude (see exactSums).
 func (m Matrix) IntegerValued() bool {
 	for _, v := range []float64{m.Reward, m.Sucker, m.Temptation, m.Punishment} {
 		if v != math.Trunc(v) {

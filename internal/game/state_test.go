@@ -186,19 +186,30 @@ func TestOpponentStateInvolution(t *testing.T) {
 	}
 }
 
+// TestHistoriesStayMirrored checks the invariant the cycle walk rests on:
+// if A's history is pushed with (a,b) and B's with (b,a) every round, B's
+// state is always A's with every round's pair swapped, both by
+// OpponentState and by the walk's swapPairs.  It covers every memory depth,
+// with random moves (trial 0) and with the moves of random move tables.
 func TestHistoriesStayMirrored(t *testing.T) {
-	// If A's history is pushed with (a,b) and B's with (b,a) every round,
-	// then B's state must always equal OpponentState(A's state).
 	src := rng.New(7)
-	for mem := 1; mem <= 4; mem++ {
-		ha, hb := NewHistory(mem), NewHistory(mem)
-		for step := 0; step < 100; step++ {
-			if hb.State() != OpponentState(ha.State(), mem) {
-				t.Fatalf("memory-%d step %d: views not mirrored", mem, step)
+	for mem := 1; mem <= MaxMemorySteps; mem++ {
+		for trial := 0; trial < 8; trial++ {
+			pa, pb := randomWordPlayer(mem, src), randomWordPlayer(mem, src)
+			ha, hb := NewHistory(mem), NewHistory(mem)
+			for step := 0; step <= DefaultRounds; step++ {
+				sa, sb := ha.State(), hb.State()
+				if sb != OpponentState(sa, mem) || sb != swapPairs(sa) {
+					t.Fatalf("memory-%d trial %d step %d: views not mirrored: %s vs %s",
+						mem, trial, step, StateString(sa, mem), StateString(sb, mem))
+				}
+				a, b := pa.Move(sa, nil), pb.Move(sb, nil)
+				if trial == 0 {
+					a, b = Move(src.Intn(2)), Move(src.Intn(2))
+				}
+				ha.Push(a, b)
+				hb.Push(b, a)
 			}
-			a, b := Move(src.Intn(2)), Move(src.Intn(2))
-			ha.Push(a, b)
-			hb.Push(b, a)
 		}
 	}
 }

@@ -120,18 +120,26 @@ type FitnessOptions struct {
 	Source *rng.Source
 }
 
+// laneScratch holds the arguments and results of one PlayBatch call, a
+// chunk of up to game.BatchLanes games: about 4 KB.
+type laneScratch struct {
+	players [game.BatchLanes]game.Player
+	srcs    [game.BatchLanes]*rng.Source
+	results [game.BatchLanes]game.Result
+}
+
+// scratchPool holds the laneScratch of Fitness's fan-out goroutines.  On a
+// new goroutine's stack the 4 KB would make it grow and copy its stack on
+// every call.
+var scratchPool = sync.Pool{New: func() any { return new(laneScratch) }}
+
 // sumRange plays the SSet's strategy against opponents[lo:hi) in index
 // order through the engine's batch entry point (game.Engine.PlayBatch), one
-// game.BatchLanes-sized block at a time, and returns the summed focal
+// game.BatchLanes-sized block at a time in sc, and returns the summed focal
 // payoff.  When pay is non-nil it also stores each game's focal payoff at
-// pay[i].  The result buffers live on the stack, so the steady state
-// allocates nothing.
-func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, perGame []*rng.Source, lo, hi int, pay []float64) (float64, error) {
-	var (
-		players [game.BatchLanes]game.Player
-		srcs    [game.BatchLanes]*rng.Source
-		results [game.BatchLanes]game.Result
-	)
+// pay[i].  The steady state allocates nothing.
+func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, perGame []*rng.Source, lo, hi int, pay []float64, sc *laneScratch) (float64, error) {
+	players, srcs, results := &sc.players, &sc.srcs, &sc.results
 	total := 0.0
 	for c0 := lo; c0 < hi; c0 += game.BatchLanes {
 		c1 := min(c0+game.BatchLanes, hi)
@@ -209,23 +217,28 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 		perGame = opts.Source.SplitN(len(opponents))
 	}
 
+	var sc laneScratch // the calling goroutine's stack is already grown
 	if workers == 1 {
-		return s.sumRange(eng, opponents, perGame, 0, len(opponents), nil)
+		return s.sumRange(eng, opponents, perGame, 0, len(opponents), nil, &sc)
 	}
 
+	// The calling goroutine plays the first share; each other share gets a
+	// new goroutine with pooled scratch.
 	pay := make([]float64, len(opponents))
 	errs := make([]error, workers)
+	agents := PartitionOpponents(len(opponents), workers)
 	var wg sync.WaitGroup
-	for w, agent := range PartitionOpponents(len(opponents), workers) {
-		if agent.Games() == 0 {
-			continue
-		}
+	for w, agent := range agents[1:] {
 		wg.Add(1)
-		go func(w int, agent Agent) {
+		go func(w int, agent Agent, perGame []*rng.Source) {
 			defer wg.Done()
-			_, errs[w] = s.sumRange(eng, opponents, perGame, agent.Lo, agent.Hi, pay)
-		}(w, agent)
+			sc := scratchPool.Get().(*laneScratch)
+			_, errs[w] = s.sumRange(eng, opponents, perGame, agent.Lo, agent.Hi, pay, sc)
+			*sc = laneScratch{} // do not pin strategies or sources in the pool
+			scratchPool.Put(sc)
+		}(w+1, agent, perGame)
 	}
+	_, errs[0] = s.sumRange(eng, opponents, perGame, agents[0].Lo, agents[0].Hi, pay, &sc)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
